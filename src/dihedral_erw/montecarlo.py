@@ -2,15 +2,15 @@
 
 Replications are evolved in lockstep as numpy vectors, but each replication
 consumes exactly one uniform per step from its own counter-based stream
-(Philox keyed by master_seed and the replication index), so results are
-bit-identical no matter how the ensemble is batched or threaded.
+(Philox keyed by master_seed and the replication index), so row i is the
+same in every ensemble of at least i + 1 rows.  That is what
+lets sample_paths compute each ensemble once per process and answer
+narrower requests from stored rows.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -25,18 +25,6 @@ DEFAULT_LIL_START = 100
 # asymptotic two-sided Kolmogorov critical constants c(alpha): threshold c/sqrt(R)
 KS_CRITICAL = {0.01: 1.628, 0.05: 1.358, 0.10: 1.224}
 KS_MIN_SAMPLES = 100
-
-
-def worker_count(default: int = 1) -> int:
-    """Worker cap from the ERW_THREADS environment variable (default 1)."""
-    raw = os.environ.get("ERW_THREADS", "")
-    if not raw:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, n)
 
 
 def replication_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -76,6 +64,14 @@ class PathStats:
         return self.qsl_sum / math.log(self.steps)
 
 
+# Process-wide ensemble store: (q, steps, master_seed, lil_start) -> {item: arrays}.
+# An item is "paths" (W, S, Xi, Ztilde, QV), a collector name, or a snapshot
+# step; each holds the first rows of its arrays.  Row i depends only on stream
+# i, so any stored prefix answers every request for at most that many rows.
+_ENSEMBLES: Dict[tuple, Dict[object, tuple]] = {}
+_UNIFORMS = np.empty(0)
+
+
 def sample_paths(
     q: float,
     steps: int,
@@ -85,167 +81,189 @@ def sample_paths(
     collect: Sequence[str] = (),
     snapshot_steps: Sequence[int] = (),
     lil_start: int = DEFAULT_LIL_START,
-    workers: Optional[int] = None,
 ) -> PathStats:
     """Evolve an ensemble of coupled-walk paths.
 
     collect may contain "qsl", "lil", "doob"; terminal values of W, S, Xi,
     Ztilde and QV are always recorded, as are S-snapshots at the requested
-    steps.  Replications split across threads write disjoint slices of the
-    output arrays, so the result does not depend on the split.
+    steps.  An ensemble is computed once per process: a request that
+    earlier ones already cover (at least as many rows, holding every
+    requested collector and snapshot step) is answered with copies of
+    stored rows.
     """
     if steps < 1 or reps < 1:
         raise ValueError("steps and reps must be at least 1")
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [-1, 1], got {q}")
-    bad = set(collect) - {"qsl", "lil", "doob"}
+    collect = set(collect)
+    bad = collect - {"qsl", "lil", "doob"}
     if bad:
         raise ValueError(f"unknown collectors: {sorted(bad)}")
     snapshot_steps = sorted(set(int(s) for s in snapshot_steps))
     if snapshot_steps and not (1 <= snapshot_steps[0] and snapshot_steps[-1] <= steps):
         raise ValueError("snapshot steps must lie in [1, steps]")
+    if "lil" in collect and steps < lil_start:
+        raise ValueError("lil collection needs steps >= lil_start")
+
+    entry = _ENSEMBLES.setdefault((q, steps, master_seed, lil_start), {})
+
+    def stored_rows(item) -> int:
+        return len(entry[item][0]) if item in entry else 0
+
+    if any(stored_rows(k) < reps for k in ("paths", *collect, *snapshot_steps)):
+        fresh = _evolve(q, steps, reps, master_seed, collect, snapshot_steps, lil_start)
+        entry.update((k, arrays) for k, arrays in fresh.items() if stored_rows(k) < reps)
+
+    def rows(k):
+        return tuple(a[:reps].copy() for a in entry[k])
 
     out = PathStats(q=q, steps=steps, reps=reps, master_seed=master_seed)
-    out.W = np.empty(reps, dtype=np.int64)
-    out.S = np.empty(reps, dtype=np.int64)
-    out.Xi = np.empty(reps)
-    out.Ztilde = np.empty(reps)
-    out.QV = np.empty(reps)
+    out.W, out.S, out.Xi, out.Ztilde, out.QV = rows("paths")
     if "qsl" in collect:
-        out.qsl_sum = np.empty(reps)
+        (out.qsl_sum,) = rows("qsl")
     if "lil" in collect:
-        if steps < lil_start:
-            raise ValueError("lil collection needs steps >= lil_start")
-        out.lil_pos = np.empty(reps)
-        out.lil_neg = np.empty(reps)
+        out.lil_pos, out.lil_neg = rows("lil")
     if "doob" in collect:
-        out.doob_resid_max = np.empty(reps)
-        out.qv_resid_max = np.empty(reps)
-    out.snapshots = {m: np.empty(reps, dtype=np.int64) for m in snapshot_steps}
-
-    nworkers = worker_count() if workers is None else max(1, workers)
-    blocks = _split_blocks(reps, nworkers)
-    if len(blocks) == 1:
-        _run_block(q, steps, master_seed, 0, reps, collect, snapshot_steps,
-                   lil_start, out)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futs = [
-                pool.submit(_run_block, q, steps, master_seed, lo, hi, collect,
-                            snapshot_steps, lil_start, out)
-                for lo, hi in blocks
-            ]
-            for f in futs:
-                f.result()
+        out.doob_resid_max, out.qv_resid_max = rows("doob")
+    out.snapshots = {m: rows(m)[0] for m in snapshot_steps}
     return out
 
 
-def _split_blocks(reps: int, nworkers: int):
-    nblocks = min(nworkers, reps)
-    size = (reps + nblocks - 1) // nblocks
-    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+def _uniform_buffer(chunk: int, reps: int) -> np.ndarray:
+    """A (chunk, reps) view of one buffer kept across calls.
+
+    At 10k reps the buffer is just under glibc's largest mmap threshold;
+    freeing it after every ensemble would move later ones onto the heap,
+    where stored ensembles pin them, and raise peak memory.
+    """
+    global _UNIFORMS
+    if _UNIFORMS.size < chunk * reps:
+        _UNIFORMS = np.empty(chunk * reps)
+    return _UNIFORMS[:chunk * reps].reshape(chunk, reps)
 
 
-def _run_block(q, steps, master_seed, rep_lo, rep_hi, collect, snapshot_steps,
-               lil_start, out: PathStats):
-    B = rep_hi - rep_lo
-    streams = [replication_stream(master_seed, i) for i in range(rep_lo, rep_hi)]
+def _evolve(q, steps, reps, master_seed, collect, snapshot_steps, lil_start) -> dict:
+    """One lockstep pass over replications 0..reps-1; returns the store items.
+
+    Each step performs the same IEEE operations, in the same order, as the
+    scalar chain in coupling.advance, so every row is bit-identical to it.
+    Only the number of numpy calls is kept small: results go to
+    preallocated buffers, constants are 0-d arrays, and accumulators of the
+    same shape are stacked and updated by one call.  Sign flips are exact,
+    which the stacking exploits:
+
+    - dW = +1 iff u < p, so e = copysign(1, u - p) is -dW, ties included;
+    - the Kahan pair K holds (-Xi, Ztilde), whose increments are both
+      (-1)^n times the row of P = (e + q w, w), w = W_n / n;
+    - the Neumaier pair N holds (sum q^2 w^2, sum w^2), the latter only
+      with "doob".  Its first term is the largest (|w| <= 1 and the terms
+      are non-negative), so the branch |sum| >= |term| is taken from the
+      second term on, and at the first both branches give 0.
+    """
     qsl_on = "qsl" in collect
     lil_on = "lil" in collect
     doob_on = "doob" in collect
-    snap_set = set(snapshot_steps)
+    snaps = {m: np.empty(reps, dtype=np.int64) for m in snapshot_steps}
+    streams = [replication_stream(master_seed, i) for i in range(reps)]
 
-    W = np.zeros(B)
-    S = np.zeros(B)
-    Xi = np.zeros(B)
-    xi_c = np.zeros(B)
-    Zt = np.zeros(B)
-    zt_c = np.zeros(B)
-    qv_corr = np.zeros(B)
-    qv_c = np.zeros(B)
-    wsq = np.zeros(B) if doob_on else None
-    wsq_c = np.zeros(B) if doob_on else None
-    qsl = np.zeros(B) if qsl_on else None
-    lil_pos = np.full(B, -np.inf) if lil_on else None
-    lil_neg = np.full(B, -np.inf) if lil_on else None
-    dmax = np.zeros(B) if doob_on else None
-    qmax = np.zeros(B) if doob_on else None
+    half, one, c_q, c_hq, c_qq = (np.array(v) for v in (0.5, 1.0, q, 0.5 * q, q * q))
+    n_, m_, scale_ = np.zeros(()), np.zeros(()), np.zeros(())
+    W, S, e, tmp = (np.zeros(reps) for _ in range(4))
+    P, Y, KC, ka, kb = (np.zeros((2, reps)) for _ in range(5))
+    X, R, NC, na, nb = (np.zeros((2 if doob_on else 1, reps)) for _ in range(5))
+    w, P0, qv_term, w_sq = P[1], P[0], X[0], X[-1]
+    # K (-Xi, Ztilde) and N before step n alternate between two buffers by
+    # the parity of n, so each step writes the other one and nothing is copied
+    bank = ((kb, ka, ka[0], ka[1], nb, na), (ka, kb, kb[0], kb[1], na, nb))
+    if qsl_on:
+        qsl = np.zeros(reps)
+    if lil_on:
+        lil_pos = np.full(reps, -np.inf)
+        lil_neg_neg = np.full(reps, np.inf)        # -lil_neg, tracked with minimum
+    if doob_on:
+        SUMS, RES, DMAX = (np.zeros((2, reps)) for _ in range(3))
+        sum_qv, sum_wsq, res_s, res_qv = SUMS[0], SUMS[1], RES[0], RES[1]
 
-    chunk = int(max(64, min(8192, (1 << 22) // max(B, 1))))
-    u_buf = np.empty((chunk, B))
-    qq = q * q
-
+    chunk = int(max(64, min(8192, (1 << 22) // reps)))
+    u_buf = _uniform_buffer(chunk, reps)
+    n = 0                                           # time before the step
     for m0 in range(0, steps, chunk):
         c_eff = min(chunk, steps - m0)
         for i, st in enumerate(streams):
             u_buf[:c_eff, i] = st.random(c_eff)
-        for j in range(c_eff):
-            m = m0 + j + 1          # step being taken
-            n = m - 1               # time before the step
-            u = u_buf[j]
-            if n == 0:
-                dw = np.where(u < 0.5, 1.0, -1.0)
-                ds = dw
-                xi_inc = ds
+        for u in u_buf[:c_eff]:
+            m = n + 1
+            K, K_new, xi_neg, zt, N, N_new = bank[n & 1]
+            if n == 0:                              # p = 1/2; no Ztilde or QV term
+                np.subtract(u, half, out=e)
+                np.copysign(one, e, out=e)
+                np.copyto(xi_neg, e)
             else:
-                w_over = W / n
-                pa = 0.5 + (0.5 * q) * w_over
-                dw = np.where(u < pa, 1.0, -1.0)
-                sgn = 1.0 if n % 2 == 0 else -1.0
-                ds = sgn * dw
-                # Ztilde gains (-1)^n W_n/n before the step lands
-                y = sgn * w_over - zt_c
-                t = Zt + y
-                zt_c = (t - Zt) - y
-                Zt = t
-                xi_inc = ds - (sgn * q) * w_over
-                # Neumaier sums: the correction is folded in at read time,
-                # so the QV identity is not limited by accumulator error
-                x = qq * (w_over * w_over)
-                t = qv_corr + x
-                qv_c = qv_c + np.where(np.abs(qv_corr) >= np.abs(x),
-                                       (qv_corr - t) + x, (x - t) + qv_corr)
-                qv_corr = t
-                if doob_on:
-                    x = w_over * w_over
-                    t = wsq + x
-                    wsq_c = wsq_c + np.where(np.abs(wsq) >= np.abs(x),
-                                             (wsq - t) + x, (x - t) + wsq)
-                    wsq = t
-            y = xi_inc - xi_c
-            t = Xi + y
-            xi_c = (t - Xi) - y
-            Xi = t
-            W = W + dw
-            S = S + ds
+                n_[()] = n
+                np.divide(W, n_, out=w)
+                np.multiply(c_hq, w, out=e)
+                np.add(e, half, out=e)              # p = 1/2 + (q/2) w
+                np.subtract(u, e, out=e)
+                np.copysign(one, e, out=e)          # e = -dW
+                np.multiply(c_q, w, out=P0)
+                np.add(P0, e, out=P0)
+                if n & 1:                           # increments -P, so y = -(P + c)
+                    np.add(P, KC, out=Y)
+                    np.subtract(K, Y, out=K_new)
+                    np.subtract(K_new, K, out=KC)
+                    np.add(KC, Y, out=KC)
+                else:
+                    np.subtract(P, KC, out=Y)
+                    np.add(K, Y, out=K_new)
+                    np.subtract(K_new, K, out=KC)
+                    np.subtract(KC, Y, out=KC)
+                np.multiply(w, w, out=w_sq)
+                np.multiply(c_qq, w_sq, out=qv_term)
+                np.add(N, X, out=N_new)             # Neumaier: c += (sum - t) + x
+                np.subtract(N, N_new, out=R)
+                np.add(R, X, out=R)
+                np.add(NC, R, out=NC)
+            np.subtract(W, e, out=W)
+            if n & 1:
+                np.add(S, e, out=S)
+            else:
+                np.subtract(S, e, out=S)
             if qsl_on:
-                qsl = qsl + (S / m) ** 2
+                m_[()] = m
+                np.divide(S, m_, out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                np.add(qsl, tmp, out=qsl)
             if lil_on and m >= lil_start:
-                scale = 1.0 / math.sqrt(2.0 * m * math.log(math.log(m)))
-                ratio = S * scale
-                np.maximum(lil_pos, ratio, out=lil_pos)
-                np.maximum(lil_neg, -ratio, out=lil_neg)
+                scale_[()] = 1.0 / math.sqrt(2.0 * m * math.log(math.log(m)))
+                np.multiply(S, scale_, out=tmp)
+                np.maximum(lil_pos, tmp, out=lil_pos)
+                np.minimum(lil_neg_neg, tmp, out=lil_neg_neg)
             if doob_on:
-                resid = np.abs(S - Xi - q * Zt)
-                np.maximum(dmax, resid, out=dmax)
-                resid = np.abs((qv_corr + qv_c) - qq * (wsq + wsq_c))
-                np.maximum(qmax, resid, out=qmax)
-            if m in snap_set:
-                out.snapshots[m][rep_lo:rep_hi] = S.astype(np.int64)
+                # |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|
+                np.add(S, xi_neg, out=res_s)
+                np.multiply(c_q, zt, out=tmp)
+                np.subtract(res_s, tmp, out=res_s)
+                np.add(N_new, NC, out=SUMS)
+                np.multiply(c_qq, sum_wsq, out=tmp)
+                np.subtract(sum_qv, tmp, out=res_qv)
+                np.absolute(RES, out=RES)
+                np.maximum(DMAX, RES, out=DMAX)
+            if m in snaps:
+                snaps[m][:] = S
+            n = m
 
-    out.W[rep_lo:rep_hi] = W.astype(np.int64)
-    out.S[rep_lo:rep_hi] = S.astype(np.int64)
-    out.Xi[rep_lo:rep_hi] = Xi
-    out.Ztilde[rep_lo:rep_hi] = Zt
-    out.QV[rep_lo:rep_hi] = steps - (qv_corr + qv_c)
+    K, _, _, _, N, _ = bank[n & 1]
+    xi = np.subtract(0.0, K[0])         # a zero comes out as +0, as in the scalar sum
+    items = {"paths": (W.astype(np.int64), S.astype(np.int64), xi, K[1].copy(),
+                       steps - (N[0] + NC[0]))}
     if qsl_on:
-        out.qsl_sum[rep_lo:rep_hi] = qsl
+        items["qsl"] = (qsl,)
     if lil_on:
-        out.lil_pos[rep_lo:rep_hi] = lil_pos
-        out.lil_neg[rep_lo:rep_hi] = lil_neg
+        items["lil"] = (lil_pos, np.negative(lil_neg_neg))
     if doob_on:
-        out.doob_resid_max[rep_lo:rep_hi] = dmax
-        out.qv_resid_max[rep_lo:rep_hi] = qmax
+        items["doob"] = (DMAX[0].copy(), DMAX[1].copy())
+    items.update((m, (s,)) for m, s in snaps.items())
+    return items
 
 
 @dataclass(frozen=True)
@@ -256,7 +274,6 @@ class ExperimentConfig:
     steps: int
     reps: int
     master_seed: int
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.steps < 1:
@@ -316,13 +333,12 @@ class ReplicationSummary:
         }
 
 
-def mc_terminal_stats(config: ExperimentConfig, workers: Optional[int] = None) -> ReplicationSummary:
+def mc_terminal_stats(config: ExperimentConfig) -> ReplicationSummary:
     """Summaries of the terminal normalised statistics over the ensemble."""
     q = config.params.q
     n = config.steps
     ens = sample_paths(q, n, config.reps, config.master_seed,
-                       collect=("qsl", "lil", "doob") if n >= DEFAULT_LIL_START else ("qsl", "doob"),
-                       workers=workers)
+                       collect=("qsl", "lil", "doob") if n >= DEFAULT_LIL_START else ("qsl", "doob"))
     sq = math.sqrt(n)
     stats = {
         "S_over_sqrt_n": StatSummary.from_samples(ens.S / sq),
@@ -384,8 +400,7 @@ def qsl_statistic(s_path) -> float:
     return float(np.sum((s / k) ** 2) / math.log(n))
 
 
-def lil_scan(config: ExperimentConfig, n_max: int,
-             workers: Optional[int] = None) -> ReplicationSummary:
+def lil_scan(config: ExperimentConfig, n_max: int) -> ReplicationSummary:
     """Running iterated-logarithm envelope statistic over an ensemble.
 
     Tracks the per-path running max of +-S_k / sqrt(2 k lnln k) for
@@ -395,7 +410,7 @@ def lil_scan(config: ExperimentConfig, n_max: int,
     if n_max < 1000:
         raise ValueError("n_max must be at least 1000")
     ens = sample_paths(config.params.q, n_max, config.reps, config.master_seed,
-                       collect=("lil",), workers=workers)
+                       collect=("lil",))
     return ReplicationSummary(
         config=config,
         stats={
@@ -465,8 +480,7 @@ class WRegimeRow:
     summary_scaled: StatSummary  # |W_n| / (n / r_n), the a.s. scale of W_n
 
 
-def w_regime_scan(p_list: Sequence[float], n: int, reps: int,
-                  master_seed: int, workers: Optional[int] = None):
+def w_regime_scan(p_list: Sequence[float], n: int, reps: int, master_seed: int):
     """|W_n| summaries across memory parameters; qualitative only.
 
     Each row reports |W_n|/r_n and |W_n|/(n/r_n).  The second quotient
@@ -476,7 +490,7 @@ def w_regime_scan(p_list: Sequence[float], n: int, reps: int,
     rows = []
     for p in p_list:
         params = MemoryParams.from_p(p)
-        ens = sample_paths(params.q, n, reps, master_seed, workers=workers)
+        ens = sample_paths(params.q, n, reps, master_seed)
         r = r_norm(n, p)
         w_abs = np.abs(ens.W)
         rows.append(WRegimeRow(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dihedral_erw import montecarlo
 from dihedral_erw.coupling import advance, initial_state
 from dihedral_erw.group import MemoryParams
 from dihedral_erw.montecarlo import (
@@ -18,7 +19,6 @@ from dihedral_erw.montecarlo import (
     summary_json,
     t2_rate_fit,
     w_regime_scan,
-    worker_count,
 )
 
 SEED = 2
@@ -44,15 +44,44 @@ class TestStreams:
         assert np.array_equal(chunked, scalar)
 
 
+FIELDS = ("W", "S", "Xi", "Ztilde", "QV", "qsl_sum", "lil_pos", "lil_neg",
+          "doob_resid_max", "qv_resid_max")
+
+
+@pytest.fixture
+def fresh_store(monkeypatch):
+    """An empty ensemble store for one test; the process-wide one comes back after."""
+    monkeypatch.setattr(montecarlo, "_ENSEMBLES", {})
+    return lambda: montecarlo._ENSEMBLES.clear()
+
+
+def assert_same_rows(a, b):
+    """Every field and snapshot of ensemble b equals the first rows of a, bit for bit."""
+    rows = b.reps
+    for name in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x[:rows].tobytes() == y.tobytes(), name
+    assert set(a.snapshots) >= set(b.snapshots)
+    for m, snap in b.snapshots.items():
+        assert a.snapshots[m][:rows].tobytes() == snap.tobytes(), m
+
+
 class TestEngine:
-    def test_matches_scalar_state_chain_exactly(self):
-        q = 0.3
+    @pytest.mark.parametrize("q", [-1.0, 0.0, 0.3, 1.0])
+    def test_matches_scalar_state_chain_exactly(self, q):
+        # q = 0 and q = +-1 are the edge cases of the engine's fixed
+        # Neumaier branch; the scalar chain takes the general branchy form
         params = MemoryParams.from_q(q)
-        ens = sample_paths(q, 300, 4, SEED, collect=("qsl", "doob"))
+        snap_steps = (1, 2, 150, 299, 300)
+        ens = sample_paths(q, 300, 4, SEED, collect=("qsl", "lil", "doob"),
+                           snapshot_steps=snap_steps)
         for i in range(4):
             st = initial_state()
             stream = replication_stream(SEED, i)
             qsl = 0.0
+            lil_pos = lil_neg = -math.inf
             for m in range(1, 301):
                 n = m - 1
                 u = stream.random()
@@ -62,25 +91,28 @@ class TestEngine:
                     g = "a" if u < 0.5 + (0.5 * q) * (st.W / n) else "b"
                 st = advance(st, g, params)
                 qsl += (st.S / m) ** 2
+                if m >= 100:
+                    ratio = st.S * (1.0 / math.sqrt(2.0 * m * math.log(math.log(m))))
+                    lil_pos, lil_neg = max(lil_pos, ratio), max(lil_neg, -ratio)
+                if m in snap_steps:
+                    assert st.S == ens.snapshots[m][i]
             assert st.W == ens.W[i] and st.S == ens.S[i]
             assert st.Xi == ens.Xi[i]
             assert st.Ztilde == ens.Ztilde[i]
             assert st.QV == ens.QV[i]
-            assert qsl == pytest.approx(ens.qsl_sum[i], abs=1e-12)
+            assert qsl == ens.qsl_sum[i]
+            assert (lil_pos, lil_neg) == (ens.lil_pos[i], ens.lil_neg[i])
 
-    def test_deterministic_and_split_invariant(self):
+    def test_deterministic_and_prefix_invariant(self, fresh_store):
+        # row i depends only on stream i: a narrower ensemble is a prefix
         kw = dict(collect=("qsl", "lil", "doob"), snapshot_steps=(100, 500))
-        a = sample_paths(0.5, 500, 32, 7, **kw)
-        b = sample_paths(0.5, 500, 32, 7, **kw)
-        c = sample_paths(0.5, 500, 32, 7, workers=5, **kw)
-        for x in (b, c):
-            assert np.array_equal(a.W, x.W)
-            assert np.array_equal(a.S, x.S)
-            assert np.array_equal(a.Xi, x.Xi)
-            assert np.array_equal(a.qsl_sum, x.qsl_sum)
-            assert np.array_equal(a.lil_pos, x.lil_pos)
-            assert np.array_equal(a.doob_resid_max, x.doob_resid_max)
-            assert np.array_equal(a.snapshots[100], x.snapshots[100])
+        wide = sample_paths(0.5, 500, 32, 7, **kw)
+        fresh_store()
+        again = sample_paths(0.5, 500, 32, 7, **kw)
+        fresh_store()
+        narrow = sample_paths(0.5, 500, 8, 7, **kw)
+        assert_same_rows(wide, again)
+        assert_same_rows(wide, narrow)
 
     def test_parity_invariants(self):
         ens = sample_paths(-0.5, 999, 50, 3)
@@ -121,13 +153,56 @@ class TestEngine:
         with pytest.raises(ValueError):
             sample_paths(0.0, 50, 2, 1, collect=("lil",))  # shorter than lil_start
 
-    def test_worker_env(self, monkeypatch):
-        monkeypatch.setenv("ERW_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("ERW_THREADS", "junk")
-        assert worker_count() == 1
-        monkeypatch.delenv("ERW_THREADS")
-        assert worker_count() == 1
+
+class TestEnsembleStore:
+    KW = dict(collect=("qsl", "lil", "doob"), snapshot_steps=(120, 400))
+
+    def test_mutating_a_result_leaves_later_results_unchanged(self, fresh_store):
+        expect = sample_paths(0.3, 400, 16, 5, **self.KW)
+        fresh_store()
+        for _ in range(2):                  # the computed result, then a stored one
+            got = sample_paths(0.3, 400, 16, 5, **self.KW)
+            for name in FIELDS:
+                getattr(got, name)[:] = 0
+            for snap in got.snapshots.values():
+                snap[:] = 0
+        assert_same_rows(expect, sample_paths(0.3, 400, 16, 5, **self.KW))
+        assert_same_rows(expect, sample_paths(0.3, 400, 4, 5, **self.KW))
+
+    @pytest.mark.parametrize("reps, collect, snaps", [
+        (5, ("qsl", "lil", "doob"), (120, 400)),     # fewer rows
+        (16, ("lil",), (400,)),                      # fewer collectors and snapshots
+        (7, (), ()),                                 # bare prefix
+        (40, ("qsl", "lil", "doob"), (120, 400)),    # more rows
+        (16, ("qsl", "doob"), (1, 120, 400)),        # another snapshot step
+    ])
+    def test_subset_and_superset_requests_equal_fresh(self, fresh_store, reps, collect, snaps):
+        sample_paths(0.5, 400, 16, 5, **self.KW)
+        kw = dict(collect=collect, snapshot_steps=snaps)
+        served = sample_paths(0.5, 400, reps, 5, **kw)
+        fresh_store()
+        assert_same_rows(sample_paths(0.5, 400, reps, 5, **kw), served)
+
+    def test_hits_open_no_streams_and_lil_start_misses(self, fresh_store, monkeypatch):
+        opened = []
+        real = montecarlo.replication_stream
+
+        def counting(seed, index):
+            opened.append(index)
+            return real(seed, index)
+
+        monkeypatch.setattr(montecarlo, "replication_stream", counting)
+        sample_paths(0.5, 400, 16, 5, collect=("lil",))
+        sample_paths(0.5, 400, 10, 5, collect=("lil",))
+        assert len(opened) == 16
+        # a narrower miss adds its snapshot and keeps the wider rows
+        sample_paths(0.5, 400, 4, 5, snapshot_steps=(200,))
+        sample_paths(0.5, 400, 16, 5, collect=("lil",))
+        assert len(opened) == 20
+        late = sample_paths(0.5, 400, 10, 5, collect=("lil",), lil_start=200)
+        assert len(opened) == 30
+        fresh_store()
+        assert_same_rows(sample_paths(0.5, 400, 10, 5, collect=("lil",), lil_start=200), late)
 
 
 class TestKS:
