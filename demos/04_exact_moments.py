@@ -2,8 +2,9 @@
 
 E[W_k^2] = H(k, q) follows a one-step recursion; E[Ztilde_{n+1}^2] has a
 closed double sum over Pochhammer ratios, which also splits as T1 + 2 T2
-with T2 vanishing at an explicit rate.  A brute-force enumeration over all
-2^n letter sequences cross-checks everything at small n.
+with T2 vanishing at an explicit rate.  An exact pass over all 2^n letter
+sequences (the forward equation over the a-count, O(n^2) work) cross-checks
+everything from the step law alone, at small n and far out.
 """
 
 from dihedral_erw import MemoryParams, enumerate_exact, h_moment, t1, t2, var_ztilde_exact
@@ -12,16 +13,19 @@ from dihedral_erw.moments import MomentTable
 q = 0.5
 params = MemoryParams.from_q(q)
 
-print(f"H(k, q={q}) by recursion vs enumeration over all paths (n = 12):")
+print(f"H(k, q={q}) by recursion vs the exact pass over all paths (n = 12):")
 res = enumerate_exact(12, params)
 for k in (1, 2, 3, 6, 12):
     print(f"  k={k:<3d} recursion={h_moment(k, q):<12.6f} "
           f"enumerated={res.e_w2_by_step[k]:<12.6f}")
 
-print(f"\nE[Ztilde^2] double sum vs enumeration:")
+print(f"\nE[Ztilde^2] double sum vs the exact pass:")
 for n in (1, 2, 6, 12):
     print(f"  n={n:<3d} double-sum={var_ztilde_exact(n, q):<12.8f} "
           f"enumerated={res.e_ztilde2_by_step[n]:<12.8f}")
+
+far = enumerate_exact(1000, params)
+print(f"\nat n = 1000: exact pass E[W^2] = {far.e_w2:.10g}, recursion = {h_moment(1000, q):.10g}")
 
 print("\nthe T1 + 2 T2 split reproduces the double sum:")
 for qq in (-1.0, -0.5, 0.0, 0.3, 0.8):

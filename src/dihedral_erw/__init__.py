@@ -1,7 +1,7 @@
 """Elephant random walk on the infinite dihedral group.
 
 Simulation of the group walk, the coupled integer processes and their Doob
-decomposition, exact second moments with an enumeration oracle, singular-
+decomposition, exact second moments with an all-paths oracle, singular-
 endpoint quadrature for the limiting variance, and Monte Carlo checks of
 the limit theorems.
 """
@@ -15,6 +15,7 @@ from .group import (
     sample_next_letter,
     signed_location,
     simulate_walk,
+    step_prob_a,
     word_metric,
 )
 from .coupling import (

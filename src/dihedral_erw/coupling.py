@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .group import LETTERS, MemoryParams, WalkTrace, complement, signed_location
+from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, reduce_left_multiply,
+                    signed_location, step_prob_a)
 
 
 def encode_increment(n: int, g: str) -> int:
@@ -129,15 +130,16 @@ def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
 def conditional_step_prob(state: CoupledState, params: MemoryParams) -> tuple:
     """(P(S goes up), P(S goes down)) given the state after n >= 1 steps.
 
-    The up-probability is 1/2 + (-1)^n q W_n / (2n); it depends on the whole
-    S-history only through W_n, which is itself a signed functional of the
-    full path.
+    The up-probability is 1/2 + (-1)^n q W_n / (2n): step epoch n + 1 encodes
+    a as +1 iff n is even, so it is P(a) = step_prob_a at even n and 1 - P(a)
+    at odd n.  It depends on the whole S-history only through W_n, which is
+    itself a signed functional of the full path.
     """
     state.validate()
     if state.n < 1:
         raise ValueError("conditional law is defined from n >= 1 (first step is uniform)")
-    sgn = 1 if state.n % 2 == 0 else -1
-    prob_up = 0.5 + sgn * params.q * state.W / (2.0 * state.n)
+    prob_a = step_prob_a(params.q, state.W, state.n)
+    prob_up = prob_a if state.n % 2 == 0 else 1.0 - prob_a
     return prob_up, 1.0 - prob_up
 
 
@@ -187,42 +189,31 @@ def verify_coupling(trace: WalkTrace) -> bool:
 def exhaustive_coupling_check(depth: int) -> int:
     """Check the S/signed-location identity on every letter sequence.
 
-    Walks the full binary tree of letter sequences up to the given depth,
-    maintaining the reduced word as (length, leading letter) and S by the
-    epoch-dependent encoding.  Returns the number of sequences checked;
+    Runs over the reachable states rather than the 2^depth sequences: each
+    epoch keeps {(reduced word, S): number of sequences reaching it} and
+    extends every state by both letters, so all sequences are checked at
+    O(depth^2) cost.  Returns the number of sequences checked (2^depth);
     raises AssertionError on the first mismatch.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
 
-    count = 0
-    # stack entries: (epoch of next step, word length, word first letter, S)
-    stack = [(1, 0, None, 0)]
-    while stack:
-        n, length, first, s = stack.pop()
-        for g in LETTERS:
-            if length == 0:
-                new_len, new_first = 1, g
-            elif first == g:
-                new_len = length - 1
-                new_first = None if new_len == 0 else complement(g)
-            else:
-                new_len, new_first = length + 1, g
-            s_new = s + encode_increment(n, g)
-            loc = 0
-            if new_len > 0:
-                last = new_first if new_len % 2 == 1 else complement(new_first)
-                loc = new_len if last == "a" else -new_len
-            if loc != s_new:
-                raise AssertionError(
-                    f"coupling broken at epoch {n}: word ({new_len},{new_first}) "
-                    f"sits at {loc} but S = {s_new}"
-                )
-            if n == depth:
-                count += 1
-            else:
-                stack.append((n + 1, new_len, new_first, s_new))
-    return count
+    layer = {(GroupWord.identity(), 0): 1}
+    for n in range(1, depth + 1):
+        nxt = {}
+        for (word, s), count in layer.items():
+            for g in LETTERS:
+                word_g = reduce_left_multiply(g, word)
+                s_g = s + encode_increment(n, g)
+                loc = signed_location(word_g)
+                if loc != s_g:
+                    raise AssertionError(
+                        f"coupling broken at epoch {n}: word {word_g} "
+                        f"sits at {loc} but S = {s_g}"
+                    )
+                nxt[word_g, s_g] = nxt.get((word_g, s_g), 0) + count
+        layer = nxt
+    return sum(layer.values())
 
 
 TRACE_CSV_HEADER = "n,letter,W,S,Xi,Ztilde,QV"

@@ -150,20 +150,37 @@ class MemoryParams:
         return cls(p=(q + 1.0) / 2.0, q=q)
 
 
+def _check_q(q: float) -> float:
+    """q as a float in [-1, 1), the domain of the exact and limiting moments."""
+    q = float(q)
+    if not -1.0 <= q < 1.0:
+        raise ValueError(f"q must lie in [-1, 1), got {q}")
+    return q
+
+
+def step_prob_a(q, W, n):
+    """P(the next letter is a) after n >= 1 steps with W = #a - #b.
+
+    Mathematically (p*A + (1-p)*B)/n; evaluated as 1/2 + (q/2) * (W/n),
+    the IEEE operations of the Monte Carlo engine, so that every sampler
+    turns the same uniform into the same letter.  Works on scalars and on
+    numpy arrays alike.
+    """
+    return 0.5 + (0.5 * q) * (W / n)
+
+
 def sample_next_letter(A: int, B: int, n: int, params: MemoryParams, rng) -> str:
     """Draw the next step letter given the running counts A (a's) and B (b's).
 
-    The next letter is a with probability (p*A + (1-p)*B)/n.  This counts
-    form has the same conditional law as remembering a uniform past index
-    and repeating it with probability p, but needs only O(1) state.
+    The next letter is a with probability step_prob_a(q, A - B, n).  This
+    counts form has the same conditional law as remembering a uniform past
+    index and repeating it with probability p, but needs only O(1) state.
     """
     if n < 1:
         raise ValueError("n must be at least 1 (the first step is uniform)")
     if A < 0 or B < 0 or A + B != n:
         raise ValueError(f"counts A={A}, B={B} inconsistent with n={n}")
-    p = params.p
-    prob_a = (p * A + (1.0 - p) * B) / n
-    return "a" if rng.random() < prob_a else "b"
+    return "a" if rng.random() < step_prob_a(params.q, A - B, n) else "b"
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Exact second moments of the coupled walk and a brute-force enumeration oracle.
+"""Exact second moments of the coupled walk and an exact pass over reachable states.
 
 The central quantity is H(k, q) = E[W_k^2].  It satisfies the one-step
 conditional-variance recursion
@@ -9,6 +9,11 @@ which is taken as the defining computation: the gamma-ratio closed form
 needs a 1/Gamma(0) = 1/Gamma(-1) = 0 convention at q in {0, -1/2} and has
 an unhandled pole at q = -1, so it serves only as a cross-check where its
 arguments stay clear of poles.
+
+enumerate_exact is the independent oracle for all of these: W is a Markov
+chain on the a-count and S, Ztilde are additive functionals of its path,
+so the forward equation over the a-count gives every moment exactly from
+the step law alone, in O(n^2) operations.
 """
 
 from __future__ import annotations
@@ -21,28 +26,15 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, gammasgn
 
-from .coupling import encode_increment
-from .group import MemoryParams, complement
-
-ENUMERATION_MAX_STEPS = 22  # 2^n paths; cost guard
-
-
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not -1.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [-1, 1), got {q}")
-    return q
+from .coupling import encode_increment, exhaustive_coupling_check
+from .group import MemoryParams, _check_q, step_prob_a
 
 
 def h_moment(k: int, q: float) -> float:
     """E[W_k^2] by the defining recursion."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    q = _check_q(q)
-    h = 1.0
-    for j in range(1, k):
-        h = (1.0 + 2.0 * q / j) * h + 1.0
-    return h
+    return float(h_moment_table(k, q)[k])
 
 
 def h_moment_table(n: int, q: float) -> np.ndarray:
@@ -96,12 +88,7 @@ def i_factor(k: int, q: float) -> float:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    q = _check_q(q)
-    if k + q == 0.0:
-        return 0.0
-    if q == 0.0:
-        return float(k)  # Gamma(k+1)/Gamma(k), exactly
-    return math.exp(gammaln(k + 1) - gammaln(k + q) - gammaln(1.0 - q))
+    return float(i_factor_table(k, q)[k])
 
 
 def i_factor_table(n: int, q: float) -> np.ndarray:
@@ -286,9 +273,8 @@ class MomentTable:
     def build(cls, n: int, q: float) -> "MomentTable":
         h = h_moment_table(n, q)
         i = i_factor_table(n, q)
-        ks = np.arange(1, n + 1)
-        a = h[1:] * i[1:] / ks.astype(float) ** 2
-        return cls(q=float(q), k=ks, H=h[1:], I=i[1:], a=a)
+        a = a_factor_table(n, q)
+        return cls(q=float(q), k=np.arange(1, n + 1), H=h[1:], I=i[1:], a=a[1:])
 
     def csv_lines(self):
         yield "k,H,I,a_k"
@@ -296,25 +282,9 @@ class MomentTable:
             yield f"{k},{h:.12g},{i:.12g},{a:.12g}"
 
 
-class _Kahan:
-    """Compensated scalar accumulator."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, inc: float) -> None:
-        y = inc - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
 @dataclass
 class EnumerationResult:
-    """Exact moments of the walk at horizon n, by full path enumeration."""
+    """Exact moments of the walk at horizon n over all 2^n letter sequences."""
 
     n: int
     q: float
@@ -346,105 +316,68 @@ class EnumerationResult:
         return json.dumps(payload, indent=2)
 
 
+def _forward(pa, pb, xa, xb):
+    """Per-a-count vector after one step: letter a moves A to A + 1, b keeps A."""
+    out = np.zeros(len(xa) + 1)
+    out[1:] = pa * xa
+    out[:-1] += pb * xb
+    return out
+
+
 def enumerate_exact(
     n: int,
     params: MemoryParams,
     cov_pairs: Sequence = ((1, 2),),
 ) -> EnumerationResult:
-    """Iterate all letter sequences of length n and accumulate exact moments.
+    """Exact moments at horizons 1..n over all letter sequences of length n.
 
-    Path probabilities multiply the counts-form conditionals (first step
-    1/2); zero-probability subtrees are pruned, which leaves the weighted
-    moments untouched.  Depth-first traversal keeps memory O(n).  Along the
-    way the signed location of the reduced word is compared against the
-    encoded S at every step; any mismatch clears coupling_ok.
+    The state after k steps is the a-count A (so W = 2A - k).  Each state
+    carries its probability m and the partial moments E[S; A], E[S^2; A],
+    E[Ztilde; A], E[Ztilde^2; A], plus E[W_k; A] from step k on for each
+    covariance pair (k, l); one step of the forward equation moves them all
+    with the shared step law, and the S increments come from
+    encode_increment.  Cost is O(n^2).  coupling_ok is the exhaustive
+    coupling check over every sequence of length n.
     """
-    if not 1 <= n <= ENUMERATION_MAX_STEPS:
-        raise ValueError(f"enumeration horizon must lie in [1, {ENUMERATION_MAX_STEPS}]")
-    p = params.p
+    if n < 1:
+        raise ValueError("enumeration horizon must be at least 1")
     for k, l in cov_pairs:
         if not (1 <= k <= n and 1 <= l <= n):
             raise ValueError(f"cov pair ({k},{l}) out of range for n={n}")
+    q = params.q
+    try:
+        coupling_ok = exhaustive_coupling_check(n) == 2**n
+    except AssertionError:
+        coupling_ok = False
+    firsts = {min(pair) for pair in cov_pairs}
+    by_step = np.full((4, n + 1), np.nan)  # E[W^2], E[S], E[S^2], E[Ztilde^2]
+    cov = {}
+    carried = {}  # k -> E[W_k; A] over the current states
+    m, es, es2, ez, ez2 = (np.array([v]) for v in (1.0, 0.0, 0.0, 0.0, 0.0))
+    for k in range(1, n + 1):
+        pa = 0.5 if k == 1 else step_prob_a(q, 2.0 * np.arange(k) - (k - 1), k - 1)
+        pb = 1.0 - pa
+        da, db = encode_increment(k, "a"), encode_increment(k, "b")
+        es2 = _forward(pa, pb, es2 + 2 * da * es + m, es2 + 2 * db * es + m)
+        es = _forward(pa, pb, es + da * m, es + db * m)
+        ez, ez2, m = (_forward(pa, pb, x, x) for x in (ez, ez2, m))
+        carried = {j: _forward(pa, pb, x, x) for j, x in carried.items()}
+        w = 2.0 * np.arange(k + 1) - k
+        zt_inc = (-1.0) ** k * w / k
+        ez2 += 2.0 * zt_inc * ez + m * zt_inc**2
+        ez += m * zt_inc
+        if k in firsts:
+            carried[k] = m * w
+        for pair in cov_pairs:
+            if k == max(pair):
+                cov[tuple(pair)] = math.fsum(carried[min(pair)] * w)
+        by_step[:, k] = [math.fsum(x) for x in (m * w * w, es, es2, ez2)]
 
-    prob_sum = _Kahan()
-    ew2 = [_Kahan() for _ in range(n + 1)]
-    es = [_Kahan() for _ in range(n + 1)]
-    es2 = [_Kahan() for _ in range(n + 1)]
-    ezt2 = [_Kahan() for _ in range(n + 1)]
-    cov_acc = {tuple(pair): _Kahan() for pair in cov_pairs}
-    w_hist = [0] * (n + 1)
-    coupling_ok = True
-
-    # stack holds (depth reached, a-count, W, S, Ztilde-partial, prob,
-    #              word length, word first letter)
-    stack = [(0, 0, 0, 0, 0.0, 1.0, 0, None)]
-    while stack:
-        depth, a_cnt, w, s, zt, prob, length, first = stack.pop()
-        if depth >= 1:
-            # refresh this depth's entry: a sibling subtree processed in
-            # between may have overwritten it
-            w_hist[depth] = w
-        nxt = depth + 1
-        if depth == 0:
-            prob_a = 0.5
-        else:
-            prob_a = (p * a_cnt + (1.0 - p) * (depth - a_cnt)) / depth
-        for g, pg in (("a", prob_a), ("b", 1.0 - prob_a)):
-            if pg == 0.0:
-                continue
-            prob_g = prob * pg
-            dw = 1 if g == "a" else -1
-            w_g = w + dw
-            s_g = s + encode_increment(nxt, g)
-            if length == 0:
-                len_g, first_g = 1, g
-            elif first == g:
-                len_g = length - 1
-                first_g = None if len_g == 0 else complement(g)
-            else:
-                len_g, first_g = length + 1, g
-            loc = 0
-            if len_g > 0:
-                last = first_g if len_g % 2 == 1 else complement(first_g)
-                loc = len_g if last == "a" else -len_g
-            if loc != s_g:
-                coupling_ok = False
-            zt_g = zt + (-1.0) ** nxt * w_g / nxt
-
-            ew2[nxt].add(prob_g * w_g * w_g)
-            es[nxt].add(prob_g * s_g)
-            es2[nxt].add(prob_g * s_g * s_g)
-            ezt2[nxt].add(prob_g * zt_g * zt_g)
-
-            if nxt == n:
-                prob_sum.add(prob_g)
-                w_hist[nxt] = w_g
-                for (k, l), acc in cov_acc.items():
-                    acc.add(prob_g * w_hist[k] * w_hist[l])
-            else:
-                stack.append((nxt, a_cnt + (1 if dw > 0 else 0), w_g, s_g,
-                              zt_g, prob_g, len_g, first_g))
-
-    def _final(accs):
-        arr = np.array([np.nan] + [a.total for a in accs[1:]])
-        return arr
-
-    ew2_arr = _final(ew2)
-    es_arr = _final(es)
-    es2_arr = _final(es2)
-    ezt2_arr = _final(ezt2)
+    ew2, e_s, e_s2, ezt2 = by_step
     return EnumerationResult(
-        n=n,
-        q=params.q,
-        prob_total=prob_sum.total,
-        e_s=float(es_arr[n]),
-        e_s2=float(es2_arr[n]),
-        e_w2=float(ew2_arr[n]),
-        e_ztilde2=float(ezt2_arr[n]),
-        cov_w_pairs={pair: acc.total for pair, acc in cov_acc.items()},
-        coupling_ok=coupling_ok,
-        e_w2_by_step=ew2_arr,
-        e_s_by_step=es_arr,
-        e_s2_by_step=es2_arr,
-        e_ztilde2_by_step=ezt2_arr,
+        n=n, q=q, prob_total=math.fsum(m),
+        e_s=float(e_s[n]), e_s2=float(e_s2[n]), e_w2=float(ew2[n]), e_ztilde2=float(ezt2[n]),
+        cov_w_pairs=cov, coupling_ok=coupling_ok,
+        e_w2_by_step=ew2, e_s_by_step=e_s, e_s2_by_step=e_s2, e_ztilde2_by_step=ezt2,
     )
+

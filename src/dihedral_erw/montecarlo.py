@@ -146,7 +146,9 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps, lil_start) -> 
     """One lockstep pass over replications 0..reps-1; returns the store items.
 
     Each step performs the same IEEE operations, in the same order, as the
-    scalar chain in coupling.advance, so every row is bit-identical to it.
+    scalar chain in coupling.advance, so every row is bit-identical to it;
+    the letter is drawn with a buffered form of group.step_prob_a, so the
+    scalar samplers turn each uniform into the same letter.
     Only the number of numpy calls is kept small: results go to
     preallocated buffers, constants are 0-d arrays, and accumulators of the
     same shape are stacked and updated by one call.  Sign flips are exact,

@@ -19,6 +19,8 @@ from typing import Callable
 
 from scipy.special import gammaln
 
+from .group import _check_q
+
 DEFAULT_TOL = 1e-10
 MAX_EVALUATIONS = 2_000_000
 _T_MAX = 6.0  # exp(pi*sinh(6)) stays inside double range
@@ -130,8 +132,7 @@ def phi_integrand(q: float, u: float, um1: float = None) -> float:
     shapes at the endpoints cancel without a series switch; the limits are
     (q-1)/(2(2q-1)) at u = 0 (for q < 1/2) and 2^(1-q) - 1 at u = 1.
     """
-    if not -1.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [-1, 1), got {q}")
+    q = _check_q(q)
     if um1 is None:
         um1 = 1.0 - u
     # u and um1 are validated separately: near an endpoint one of them may
@@ -150,8 +151,7 @@ def phi_integrand(q: float, u: float, um1: float = None) -> float:
 
 def var_ztilde_infinity_result(q: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Limit variance of the alternating series Ztilde, with error estimate."""
-    if not -1.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [-1, 1), got {q}")
+    q = _check_q(q)
     return integrate(lambda u, um1: phi_integrand(q, u, um1), tol=tol)
 
 
@@ -170,8 +170,7 @@ def j1(k: int, q: float, tol: float = DEFAULT_TOL) -> float:
     """Integral of u^(k+q-1) (1-u)^(1-q) / (1+u) over (0, 1)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not -1.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [-1, 1), got {q}")
+    q = _check_q(q)
     if k + q <= 0.0:
         raise ValueError(f"need k + q > 0, got k={k}, q={q}")
     kq = k + q - 1.0
@@ -191,8 +190,7 @@ def j2(n: int, q: float, tol: float = DEFAULT_TOL) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not -1.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [-1, 1), got {q}")
+    q = _check_q(q)
     nq = n + q
 
     def f(u, um1):

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from dihedral_erw.cli import main
+from dihedral_erw.moments import h_moment
+from dihedral_erw.montecarlo import sample_paths
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +66,15 @@ class TestSimulate:
         assert out1 == out2
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("q", (-1.0, -0.5, 0.3, 0.8, 1.0))
+    def test_matches_engine_row_zero(self, capsys, q):
+        # the scalar sampler and the engine read the same stream with one step law
+        _, out, _ = run_cli(capsys, "simulate", "--q", str(q), "--steps", "3000", "--seed", "6")
+        payload = json.loads(out)
+        ens = sample_paths(q, 3000, 1, 6)
+        for key in ("W", "S", "Xi", "Ztilde", "QV"):
+            assert payload[key] == getattr(ens, key)[0]
+
     def test_seed_changes_path(self, capsys):
         _, out1, _ = run_cli(capsys, "simulate", "--q", "0.3", "--steps", "500", "--seed", "1")
         _, out2, _ = run_cli(capsys, "simulate", "--q", "0.3", "--steps", "500", "--seed", "2")
@@ -79,10 +90,17 @@ class TestEnumerate:
         assert payload["coupling_ok"] is True
         assert payload["prob_total"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_horizon_guard(self, capsys):
+    def test_zero_horizon_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--p", "0.6", "--n", "23"])
+            main(["enumerate", "--p", "0.6", "--n", "0"])
         assert exc.value.code == 2
+
+    def test_long_horizon(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--q", "0.3", "--n", "40")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == 40 and payload["coupling_ok"] is True
+        assert payload["E_W2"] == pytest.approx(h_moment(40, 0.3), rel=1e-13)
 
     def test_full_memory_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

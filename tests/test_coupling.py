@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_erw import coupling
 from dihedral_erw.coupling import (
     advance,
     conditional_step_prob,
@@ -16,6 +17,7 @@ from dihedral_erw.coupling import (
     verify_coupling,
 )
 from dihedral_erw.group import GroupWord, MemoryParams, WalkTrace, reduce_left_multiply, simulate_walk
+from dihedral_erw.moments import enumerate_exact
 from dihedral_erw.montecarlo import replication_stream
 
 # the nine-step excursion e, a, ba, aba, baba, aba, baba, ababa, baba, aba
@@ -207,6 +209,40 @@ class TestVerifyCoupling:
         trace = trace_from_letters(["a", "b", "a"])
         trace.positions[2] = GroupWord.from_letters("ab")  # wrong side
         assert not verify_coupling(trace)
+
+    def test_exhaustive_every_depth_and_far(self):
+        for depth in range(1, 21):
+            assert exhaustive_coupling_check(depth) == 2**depth
+        assert exhaustive_coupling_check(500) == 2**500
+
+    def test_exhaustive_rejects_empty_depth(self):
+        with pytest.raises(ValueError):
+            exhaustive_coupling_check(0)
+
+
+def _flip_encoding_at_epoch_7(n, g):
+    return -encode_increment(n, g) if n == 7 else encode_increment(n, g)
+
+
+def _wrong_letter_at_length_4(g, w):
+    out = reduce_left_multiply(g, w)
+    if out.length == 4:
+        return GroupWord(4, "b" if out.first == "a" else "a")
+    return out
+
+
+class TestCouplingCheckLiveness:
+    """A broken encoding or word reduction must fail both exact-layer checks."""
+
+    @pytest.mark.parametrize("name, mutant", [
+        ("encode_increment", _flip_encoding_at_epoch_7),
+        ("reduce_left_multiply", _wrong_letter_at_length_4),
+    ])
+    def test_mutant_caught(self, monkeypatch, name, mutant):
+        monkeypatch.setattr(coupling, name, mutant)
+        with pytest.raises(AssertionError):
+            exhaustive_coupling_check(10)
+        assert not enumerate_exact(10, MemoryParams.from_q(0.3)).coupling_ok
 
 
 def test_trace_csv_schema():

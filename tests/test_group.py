@@ -11,6 +11,7 @@ from dihedral_erw.group import (
     sample_next_letter,
     signed_location,
     simulate_walk,
+    step_prob_a,
     word_metric,
 )
 from dihedral_erw.montecarlo import replication_stream
@@ -152,6 +153,41 @@ class TestSampleNextLetter:
         draws = 200_000
         hits = sum(sample_next_letter(190, 10, 200, params, rng) == "a" for _ in range(draws))
         assert abs(hits / draws - 0.5) < 4 * (0.25 / draws) ** 0.5
+
+
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestStepLaw:
+    def test_values(self):
+        assert step_prob_a(0.5, 1, 1) == 0.75
+        assert step_prob_a(-1.0, 3, 3) == 0.0 and step_prob_a(1.0, 3, 3) == 1.0
+        w = np.array([-4, 0, 4])
+        assert list(step_prob_a(0.5, w, 4)) == [step_prob_a(0.5, int(x), 4) for x in w]
+
+    def test_sampler_threshold_is_the_shared_law(self):
+        # where the counts form (p*A + (1-p)*B)/n rounds differently from
+        # the shared law, the sampler must still split exactly at step_prob_a
+        points = []
+        for q in (-0.5, -0.4, 0.3, 0.7, 0.8):
+            params = MemoryParams.from_q(q)
+            p = params.p
+            for n in range(1, 200):
+                for A in range(n + 1):
+                    B = n - A
+                    if (p * A + (1.0 - p) * B) / n != step_prob_a(q, A - B, n):
+                        points.append((params, A, B, n))
+        assert len(points) > 10_000
+        for params, A, B, n in points:
+            u = step_prob_a(params.q, A - B, n)
+            assert sample_next_letter(A, B, n, params, _FixedUniform(u)) == "b"
+            below = float(np.nextafter(u, 0.0))
+            assert sample_next_letter(A, B, n, params, _FixedUniform(below)) == "a"
 
 
 class TestSimulateWalk:

@@ -1,11 +1,12 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from dihedral_erw.group import MemoryParams
+from dihedral_erw.coupling import encode_increment
+from dihedral_erw.group import MemoryParams, step_prob_a
 from dihedral_erw.moments import (
-    ENUMERATION_MAX_STEPS,
     MomentTable,
     _var_ztilde_double_sum,
     a_factor_table,
@@ -177,9 +178,11 @@ class TestRNorm:
 
 
 class TestEnumeration:
-    def test_guard(self):
+    def test_rejects_empty_horizon(self):
         with pytest.raises(ValueError):
-            enumerate_exact(ENUMERATION_MAX_STEPS + 1, MemoryParams.from_p(0.5))
+            enumerate_exact(0, MemoryParams.from_p(0.5))
+        with pytest.raises(ValueError):
+            enumerate_exact(4, MemoryParams.from_p(0.5), cov_pairs=((2, 5),))
 
     def test_half_memory_w2(self):
         res = enumerate_exact(3, MemoryParams.from_p(0.75))
@@ -224,6 +227,75 @@ class TestEnumeration:
         payload = json.loads(res.to_json())
         assert payload["E_W2"] == pytest.approx(5.5)
         assert payload["coupling_ok"] is True
+
+
+def _literal_enumeration(n, q, cov_pairs):
+    """Every field of EnumerationResult by a sum over all 2^n letter sequences."""
+    terms = {key: [[] for _ in range(n + 1)] for key in ("w2", "s", "s2", "zt2")}
+    prob_terms, cov_terms = [], {pair: [] for pair in cov_pairs}
+    for seq in product("ab", repeat=n):
+        prob, a_cnt, s, zt, w_path, path = 1.0, 0, 0, 0.0, [0], []
+        for k, g in enumerate(seq, start=1):
+            pa = 0.5 if k == 1 else step_prob_a(q, 2 * a_cnt - (k - 1), k - 1)
+            prob *= pa if g == "a" else 1.0 - pa
+            a_cnt += g == "a"
+            w = 2 * a_cnt - k
+            s += encode_increment(k, g)
+            zt += (-1.0) ** k * w / k
+            w_path.append(w)
+            path.append((("w2", w * w), ("s", s), ("s2", s * s), ("zt2", zt * zt)))
+        for k, values in enumerate(path, start=1):
+            for key, x in values:
+                terms[key][k].append(prob * x)
+        prob_terms.append(prob)
+        for k, l in cov_pairs:
+            cov_terms[k, l].append(prob * w_path[k] * w_path[l])
+    by_step = {key: np.array([np.nan] + [math.fsum(t) for t in rows[1:]])
+               for key, rows in terms.items()}
+    cov = {pair: math.fsum(t) for pair, t in cov_terms.items()}
+    return math.fsum(prob_terms), by_step, cov
+
+
+class TestLiteralOracle:
+    """The forward pass against a literal sum over every letter sequence."""
+
+    PAIRS = ((1, 2), (2, 5), (3, 7), (2, 8), (4, 4))
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    @pytest.mark.parametrize("n", (8, 10))
+    def test_every_field(self, q, n):
+        pairs = tuple(pair for pair in self.PAIRS if max(pair) <= n)
+        res = enumerate_exact(n, MemoryParams.from_q(q), cov_pairs=pairs)
+        prob, by_step, cov = _literal_enumeration(n, q, pairs)
+        assert res.n == n and res.q == q and res.coupling_ok
+        assert abs(res.prob_total - prob) <= 1e-13
+        for key, arr in (("w2", res.e_w2_by_step), ("s", res.e_s_by_step),
+                         ("s2", res.e_s2_by_step), ("zt2", res.e_ztilde2_by_step)):
+            assert len(arr) == n + 1 and np.isnan(arr[0])
+            assert np.max(np.abs(arr[1:] - by_step[key][1:])) <= 1e-13
+        for field, key in (("e_w2", "w2"), ("e_s", "s"), ("e_s2", "s2"), ("e_ztilde2", "zt2")):
+            assert abs(getattr(res, field) - by_step[key][n]) <= 1e-13
+            assert getattr(res, field) == getattr(res, f"{field}_by_step")[n]
+        assert res.cov_w_pairs.keys() == cov.keys()
+        for pair in pairs:
+            assert abs(res.cov_w_pairs[pair] - cov[pair]) <= 1e-13
+
+
+class TestLongHorizon:
+    @pytest.mark.parametrize("q", (-0.5, 0.8))
+    def test_matches_recursion_double_sum_and_covariance(self, q):
+        n = 500
+        pairs = ((1, 500), (17, 300), (250, 250), (499, 2))
+        res = enumerate_exact(n, MemoryParams.from_q(q), cov_pairs=pairs)
+        assert res.coupling_ok
+        assert res.prob_total == pytest.approx(1.0, abs=1e-13)
+        h = h_moment_table(n, q)
+        for k in range(1, n + 1):
+            assert res.e_w2_by_step[k] == pytest.approx(h[k], rel=1e-12)
+        for k in (1, 2, 3, 50, 199, 200, 499, 500):
+            assert res.e_ztilde2_by_step[k] == pytest.approx(var_ztilde_exact(k, q), rel=1e-12)
+        for pair in pairs:
+            assert res.cov_w_pairs[pair] == pytest.approx(cov_w(*pair, q), rel=1e-12)
 
 
 class TestMomentTable:

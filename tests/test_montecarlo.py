@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dihedral_erw import montecarlo
-from dihedral_erw.coupling import advance, initial_state
-from dihedral_erw.group import MemoryParams
+from dihedral_erw.coupling import advance, encode_increment, initial_state
+from dihedral_erw.group import MemoryParams, step_prob_a
 from dihedral_erw.montecarlo import (
     ExperimentConfig,
     StatSummary,
@@ -88,7 +88,7 @@ class TestEngine:
                 if n == 0:
                     g = "a" if u < 0.5 else "b"
                 else:
-                    g = "a" if u < 0.5 + (0.5 * q) * (st.W / n) else "b"
+                    g = "a" if u < step_prob_a(q, st.W, n) else "b"
                 st = advance(st, g, params)
                 qsl += (st.S / m) ** 2
                 if m >= 100:
@@ -102,6 +102,29 @@ class TestEngine:
             assert st.QV == ens.QV[i]
             assert qsl == ens.qsl_sum[i]
             assert (lil_pos, lil_neg) == (ens.lil_pos[i], ens.lil_neg[i])
+
+    @pytest.mark.parametrize("q", (-0.5, 0.3, 0.8))
+    def test_splits_exactly_at_step_prob_a(self, monkeypatch, fresh_store, q):
+        # feed the engine uniforms sitting exactly on the shared step law's
+        # threshold (b) or one ulp below it (a): a last-bit difference
+        # between the engine and step_prob_a flips a letter
+        steps = 600
+        choose = np.random.default_rng(1).random(steps) < 0.5
+        u, s_path, w = np.empty(steps), [], 0
+        for n in range(steps):
+            p = 0.5 if n == 0 else step_prob_a(q, w, n)
+            u[n] = np.nextafter(p, 0.0) if choose[n] else p
+            w += 1 if choose[n] else -1
+            s_path.append((s_path[-1] if n else 0) + encode_increment(n + 1, "a" if choose[n] else "b"))
+
+        class Uniforms:
+            def random(self, size):
+                return u[:size]
+
+        monkeypatch.setattr(montecarlo, "replication_stream", lambda seed, index: Uniforms())
+        ens = sample_paths(q, steps, 1, SEED, snapshot_steps=range(1, steps + 1))
+        assert ens.W[0] == w
+        assert [int(ens.snapshots[m][0]) for m in range(1, steps + 1)] == s_path
 
     def test_deterministic_and_prefix_invariant(self, fresh_store):
         # row i depends only on stream i: a narrower ensemble is a prefix

@@ -124,6 +124,16 @@ class TestLimitVariance:
         with pytest.raises(ValueError):
             var_ztilde_infinity(1.0)
 
+    @pytest.mark.parametrize("q", (1.0, -1.5))
+    def test_one_q_domain_with_the_exact_layer(self, q):
+        from dihedral_erw.moments import h_moment
+
+        calls = (lambda: phi_integrand(q, 0.5), lambda: var_ztilde_infinity(q),
+                 lambda: j1(2, q), lambda: j2(2, q), lambda: h_moment(2, q))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^q must lie in \[-1, 1\), got "):
+                call()
+
 
 class TestJ1J2:
     def test_j1_closed_form(self):
