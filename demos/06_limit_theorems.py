@@ -11,16 +11,9 @@ import math
 
 import numpy as np
 
-from dihedral_erw.montecarlo import (
-    ExperimentConfig,
-    ks_normal_test,
-    lil_scan,
-    mc_terminal_stats,
-    sample_paths,
-    t2_rate_fit,
-    w_regime_scan,
-)
 from dihedral_erw.group import MemoryParams
+from dihedral_erw.moments import r_norm
+from dihedral_erw.montecarlo import ks_normal_test, sample_paths, t2_rate_fit
 
 SEED = 2
 
@@ -32,22 +25,24 @@ for q in (-0.5, 0.0, 0.5):
           f"pass={res.passed}")
 
 print("\nterminal summaries at q = 0.5, n = 2e4, R = 2000:")
-cfg = ExperimentConfig(MemoryParams.from_q(0.5), steps=20_000, reps=2000, master_seed=SEED)
-summary = mc_terminal_stats(cfg)
-for name in ("S_over_sqrt_n", "Ztilde", "QV_over_n", "qsl"):
-    s = summary.stats[name]
-    print(f"  {name:<15s} mean={s.mean:+.4f}  sd={math.sqrt(s.variance):.4f}")
+n = 20_000
+ens = sample_paths(0.5, n, 2000, SEED, collect=("qsl",))
+for name, x in (("S_over_sqrt_n", ens.S / math.sqrt(n)), ("Ztilde", ens.Ztilde),
+                ("QV_over_n", ens.QV / n), ("qsl", ens.qsl())):
+    print(f"  {name:<15s} mean={x.mean():+.4f}  sd={math.sqrt(x.var(ddof=1)):.4f}")
 
 print("\niterated-logarithm envelope statistic (running max, both signs):")
-cfg = ExperimentConfig(MemoryParams.from_q(0.0), steps=200_000, reps=40, master_seed=SEED)
-lil = lil_scan(cfg, 200_000)
-print(f"  mean+ = {lil.stats['lil_pos'].mean:.3f}   mean- = {lil.stats['lil_neg'].mean:.3f} "
+lil = sample_paths(0.0, 200_000, 40, SEED, collect=("lil",))
+print(f"  mean+ = {lil.lil_pos.mean():.3f}   mean- = {lil.lil_neg.mean():.3f} "
       f"(almost-sure limit of the envelope is 1, band is loose)")
 
 print("\nthe W-walk changes regime with p even though S never does:")
-for row in w_regime_scan([0.5, 0.9], 50_000, 300, SEED):
-    print(f"  p={row.p}: |W|/r_n mean={row.summary.mean:10.3f}   "
-          f"|W|/(n/r_n) mean={row.summary_scaled.mean:.3f}")
+n = 50_000
+for p in (0.5, 0.9):
+    w_abs = np.abs(sample_paths(MemoryParams.from_p(p).q, n, 300, SEED).W)
+    r = r_norm(n, p)
+    print(f"  p={p}: |W|/r_n mean={(w_abs / r).mean():10.3f}   "
+          f"|W|/(n/r_n) mean={(w_abs / (n / r)).mean():.3f}")
 
 print("\nfitted decay of the variance cross-term T2:")
 for q in (0.5, -0.5):

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: path ensembles, summaries, and limit-law checks.
+"""Monte Carlo harness: path ensembles and limit-law checks.
 
 Replications are evolved in lockstep as numpy vectors, but each replication
 consumes exactly one uniform per step from its own counter-based stream
@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .group import MemoryParams
-from .moments import r_norm, t2
+from .moments import t2
 
-DEFAULT_LIL_START = 100
+LIL_START = 100                # first step of the lil collector's running max
 
 # asymptotic two-sided Kolmogorov critical constants c(alpha): threshold c/sqrt(R)
 KS_CRITICAL = {0.01: 1.628, 0.05: 1.358, 0.10: 1.224}
@@ -64,7 +63,7 @@ class PathStats:
         return self.qsl_sum / math.log(self.steps)
 
 
-# Process-wide ensemble store: (q, steps, master_seed, lil_start) -> {item: arrays}.
+# Process-wide ensemble store: (q, steps, master_seed) -> {item: arrays}.
 # An item is "paths" (W, S, Xi, Ztilde, QV), a collector name, or a snapshot
 # step; each holds the first rows of its arrays.  Row i depends only on stream
 # i, so any stored prefix answers every request for at most that many rows.
@@ -80,16 +79,16 @@ def sample_paths(
     *,
     collect: Sequence[str] = (),
     snapshot_steps: Sequence[int] = (),
-    lil_start: int = DEFAULT_LIL_START,
 ) -> PathStats:
     """Evolve an ensemble of coupled-walk paths.
 
-    collect may contain "qsl", "lil", "doob"; terminal values of W, S, Xi,
-    Ztilde and QV are always recorded, as are S-snapshots at the requested
-    steps.  An ensemble is computed once per process: a request that
-    earlier ones already cover (at least as many rows, holding every
-    requested collector and snapshot step) is answered with copies of
-    stored rows.
+    collect may contain "qsl" (needs steps >= 2), "lil" (running max from
+    step LIL_START on, so needs steps >= LIL_START) and "doob"; terminal
+    values of W, S, Xi, Ztilde and QV are always recorded, as are
+    S-snapshots at the requested steps.  An ensemble is computed once per
+    process: a request that earlier ones already cover (at least as many
+    rows, holding every requested collector and snapshot step) is answered
+    with copies of stored rows.
     """
     if steps < 1 or reps < 1:
         raise ValueError("steps and reps must be at least 1")
@@ -102,16 +101,18 @@ def sample_paths(
     snapshot_steps = sorted(set(int(s) for s in snapshot_steps))
     if snapshot_steps and not (1 <= snapshot_steps[0] and snapshot_steps[-1] <= steps):
         raise ValueError("snapshot steps must lie in [1, steps]")
-    if "lil" in collect and steps < lil_start:
-        raise ValueError("lil collection needs steps >= lil_start")
+    if "qsl" in collect and steps < 2:
+        raise ValueError("qsl collection needs steps >= 2")
+    if "lil" in collect and steps < LIL_START:
+        raise ValueError(f"lil collection needs steps >= {LIL_START}")
 
-    entry = _ENSEMBLES.setdefault((q, steps, master_seed, lil_start), {})
+    entry = _ENSEMBLES.setdefault((q, steps, master_seed), {})
 
     def stored_rows(item) -> int:
         return len(entry[item][0]) if item in entry else 0
 
     if any(stored_rows(k) < reps for k in ("paths", *collect, *snapshot_steps)):
-        fresh = _evolve(q, steps, reps, master_seed, collect, snapshot_steps, lil_start)
+        fresh = _evolve(q, steps, reps, master_seed, collect, snapshot_steps)
         entry.update((k, arrays) for k, arrays in fresh.items() if stored_rows(k) < reps)
 
     def rows(k):
@@ -142,7 +143,7 @@ def _uniform_buffer(chunk: int, reps: int) -> np.ndarray:
     return _UNIFORMS[:chunk * reps].reshape(chunk, reps)
 
 
-def _evolve(q, steps, reps, master_seed, collect, snapshot_steps, lil_start) -> dict:
+def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> dict:
     """One lockstep pass over replications 0..reps-1; returns the store items.
 
     Each step performs the same IEEE operations, in the same order, as the
@@ -235,7 +236,7 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps, lil_start) -> 
                 np.divide(S, m_, out=tmp)
                 np.multiply(tmp, tmp, out=tmp)
                 np.add(qsl, tmp, out=qsl)
-            if lil_on and m >= lil_start:
+            if lil_on and m >= LIL_START:
                 scale_[()] = 1.0 / math.sqrt(2.0 * m * math.log(math.log(m)))
                 np.multiply(S, scale_, out=tmp)
                 np.maximum(lil_pos, tmp, out=lil_pos)
@@ -266,96 +267,6 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps, lil_start) -> 
         items["doob"] = (DMAX[0].copy(), DMAX[1].copy())
     items.update((m, (s,)) for m, s in snaps.items())
     return items
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Reproducible experiment description; same config means same bits out."""
-
-    params: MemoryParams
-    steps: int
-    reps: int
-    master_seed: int
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.params.p,
-            "q": self.params.q,
-            "steps": self.steps,
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-        }
-
-
-@dataclass(frozen=True)
-class StatSummary:
-    mean: float
-    variance: float
-    stderr: float
-    min: float
-    max: float
-
-    @classmethod
-    def from_samples(cls, x: np.ndarray) -> "StatSummary":
-        x = np.asarray(x, dtype=float)
-        var = float(np.var(x, ddof=1)) if x.size > 1 else 0.0
-        return cls(
-            mean=float(np.mean(x)),
-            variance=var,
-            stderr=math.sqrt(var / x.size),
-            min=float(np.min(x)),
-            max=float(np.max(x)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "stderr": self.stderr,
-            "min": self.min,
-            "max": self.max,
-        }
-
-
-@dataclass
-class ReplicationSummary:
-    config: ExperimentConfig
-    stats: Dict[str, StatSummary]
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "per_statistic": {k: v.to_dict() for k, v in self.stats.items()},
-        }
-
-
-def mc_terminal_stats(config: ExperimentConfig) -> ReplicationSummary:
-    """Summaries of the terminal normalised statistics over the ensemble."""
-    q = config.params.q
-    n = config.steps
-    ens = sample_paths(q, n, config.reps, config.master_seed,
-                       collect=("qsl", "lil", "doob") if n >= DEFAULT_LIL_START else ("qsl", "doob"))
-    sq = math.sqrt(n)
-    stats = {
-        "S_over_sqrt_n": StatSummary.from_samples(ens.S / sq),
-        "W_over_r_n": StatSummary.from_samples(ens.W / r_norm(n, config.params.p)),
-        "Ztilde": StatSummary.from_samples(ens.Ztilde),
-        "Xi_over_sqrt_n": StatSummary.from_samples(ens.Xi / sq),
-        "QV_over_n": StatSummary.from_samples(ens.QV / n),
-        "abs_S_over_n": StatSummary.from_samples(np.abs(ens.S) / n),
-    }
-    if n >= 2:
-        stats["qsl"] = StatSummary.from_samples(ens.qsl())
-    if ens.lil_pos is not None:
-        stats["lil_pos"] = StatSummary.from_samples(ens.lil_pos)
-        stats["lil_neg"] = StatSummary.from_samples(ens.lil_neg)
-    return ReplicationSummary(config=config, stats=stats)
 
 
 @dataclass(frozen=True)
@@ -402,26 +313,6 @@ def qsl_statistic(s_path) -> float:
     return float(np.sum((s / k) ** 2) / math.log(n))
 
 
-def lil_scan(config: ExperimentConfig, n_max: int) -> ReplicationSummary:
-    """Running iterated-logarithm envelope statistic over an ensemble.
-
-    Tracks the per-path running max of +-S_k / sqrt(2 k lnln k) for
-    k >= 100.  This is a loose qualitative check: the statistic converges
-    at iterated-log speed, so only broad-band sanity is claimed.
-    """
-    if n_max < 1000:
-        raise ValueError("n_max must be at least 1000")
-    ens = sample_paths(config.params.q, n_max, config.reps, config.master_seed,
-                       collect=("lil",))
-    return ReplicationSummary(
-        config=config,
-        stats={
-            "lil_pos": StatSummary.from_samples(ens.lil_pos),
-            "lil_neg": StatSummary.from_samples(ens.lil_neg),
-        },
-    )
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     fitted_slope: float
@@ -440,7 +331,7 @@ class SlopeFit:
         }
 
 
-def t2_rate_fit(q: float, n_list: Sequence[int], tol: float = 1e-10) -> SlopeFit:
+def t2_rate_fit(q: float, n_list: Sequence[int]) -> SlopeFit:
     """Least-squares slope of log|T2(n, q)| against log n.
 
     The theoretical decay is n^(q-1) for q > 0 and n^(-1) for q < 0; at
@@ -455,8 +346,8 @@ def t2_rate_fit(q: float, n_list: Sequence[int], tol: float = 1e-10) -> SlopeFit
         raise ValueError("n list should span at least two decades")
     kept, logs, dropped = [], [], []
     for n in ns:
-        val = t2(n, q, tol=tol)
-        if val == 0.0 or not math.isfinite(math.log(abs(val)) if val != 0.0 else -math.inf):
+        val = t2(n, q)
+        if val == 0.0 or not math.isfinite(val):
             dropped.append(n)
             continue
         kept.append(math.log(n))
@@ -473,44 +364,3 @@ def t2_rate_fit(q: float, n_list: Sequence[int], tol: float = 1e-10) -> SlopeFit
         residual=resid,
         dropped=tuple(dropped),
     )
-
-
-@dataclass(frozen=True)
-class WRegimeRow:
-    p: float
-    summary: StatSummary         # |W_n| / r_n
-    summary_scaled: StatSummary  # |W_n| / (n / r_n), the a.s. scale of W_n
-
-
-def w_regime_scan(p_list: Sequence[float], n: int, reps: int, master_seed: int):
-    """|W_n| summaries across memory parameters; qualitative only.
-
-    Each row reports |W_n|/r_n and |W_n|/(n/r_n).  The second quotient
-    divides by the almost-sure scale of W_n (sqrt(n) in the diffusive
-    regime, n^q above it, where the two normalisations differ).
-    """
-    rows = []
-    for p in p_list:
-        params = MemoryParams.from_p(p)
-        ens = sample_paths(params.q, n, reps, master_seed)
-        r = r_norm(n, p)
-        w_abs = np.abs(ens.W)
-        rows.append(WRegimeRow(
-            p=float(p),
-            summary=StatSummary.from_samples(w_abs / r),
-            summary_scaled=StatSummary.from_samples(w_abs / (n / r)),
-        ))
-    return rows
-
-
-def summary_json(config: ExperimentConfig, summary: ReplicationSummary,
-                 tests: Iterable = ()) -> dict:
-    """Machine-readable experiment record: config, per-statistic, tests.
-
-    tests is an iterable of (name, KSResult) pairs.
-    """
-    return {
-        "config": config.to_dict(),
-        "per_statistic": {k: v.to_dict() for k, v in summary.stats.items()},
-        "tests": [{"name": name, **res.to_dict()} for name, res in tests],
-    }

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,18 +6,14 @@ import pytest
 from dihedral_erw import montecarlo
 from dihedral_erw.coupling import advance, encode_increment, initial_state
 from dihedral_erw.group import MemoryParams, step_prob_a
+from dihedral_erw.moments import r_norm
 from dihedral_erw.montecarlo import (
-    ExperimentConfig,
-    StatSummary,
+    LIL_START,
     ks_normal_test,
-    lil_scan,
-    mc_terminal_stats,
     qsl_statistic,
     replication_stream,
     sample_paths,
-    summary_json,
     t2_rate_fit,
-    w_regime_scan,
 )
 
 SEED = 2
@@ -91,7 +86,7 @@ class TestEngine:
                     g = "a" if u < step_prob_a(q, st.W, n) else "b"
                 st = advance(st, g, params)
                 qsl += (st.S / m) ** 2
-                if m >= 100:
+                if m >= LIL_START:
                     ratio = st.S * (1.0 / math.sqrt(2.0 * m * math.log(math.log(m))))
                     lil_pos, lil_neg = max(lil_pos, ratio), max(lil_neg, -ratio)
                 if m in snap_steps:
@@ -174,7 +169,9 @@ class TestEngine:
         with pytest.raises(ValueError):
             sample_paths(0.0, 10, 2, 1, snapshot_steps=(99,))
         with pytest.raises(ValueError):
-            sample_paths(0.0, 50, 2, 1, collect=("lil",))  # shorter than lil_start
+            sample_paths(0.0, LIL_START - 1, 2, 1, collect=("lil",))
+        with pytest.raises(ValueError):                 # log 1 = 0, as in qsl_statistic
+            sample_paths(0.3, 1, 3, 1, collect=("qsl",))
 
 
 class TestEnsembleStore:
@@ -206,7 +203,7 @@ class TestEnsembleStore:
         fresh_store()
         assert_same_rows(sample_paths(0.5, 400, reps, 5, **kw), served)
 
-    def test_hits_open_no_streams_and_lil_start_misses(self, fresh_store, monkeypatch):
+    def test_hits_open_no_streams(self, fresh_store, monkeypatch):
         opened = []
         real = montecarlo.replication_stream
 
@@ -222,10 +219,6 @@ class TestEnsembleStore:
         sample_paths(0.5, 400, 4, 5, snapshot_steps=(200,))
         sample_paths(0.5, 400, 16, 5, collect=("lil",))
         assert len(opened) == 20
-        late = sample_paths(0.5, 400, 10, 5, collect=("lil",), lil_start=200)
-        assert len(opened) == 30
-        fresh_store()
-        assert_same_rows(sample_paths(0.5, 400, 10, 5, collect=("lil",), lil_start=200), late)
 
 
 class TestKS:
@@ -285,32 +278,6 @@ class TestQSL:
 
 
 class TestSummaries:
-    def test_stat_summary_relations(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        s = StatSummary.from_samples(x)
-        assert s.mean == 2.5
-        assert s.stderr == pytest.approx(math.sqrt(s.variance / 4))
-        assert (s.min, s.max) == (1.0, 4.0)
-
-    def test_mc_terminal_stats_deterministic(self):
-        cfg = ExperimentConfig(MemoryParams.from_q(0.5), steps=2000, reps=200, master_seed=SEED)
-        a = mc_terminal_stats(cfg)
-        b = mc_terminal_stats(cfg)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
-
-    def test_summary_json_shape(self):
-        cfg = ExperimentConfig(MemoryParams.from_q(0.0), steps=500, reps=150, master_seed=1)
-        summ = mc_terminal_stats(cfg)
-        ks = ks_normal_test(sample_paths(0.0, 500, 150, 1).S / math.sqrt(500))
-        payload = summary_json(cfg, summ, tests=[("clt_terminal", ks)])
-        assert set(payload) == {"config", "per_statistic", "tests"}
-        assert payload["tests"][0]["name"] == "clt_terminal"
-        assert "statistic" in payload["tests"][0]
-        assert "S_over_sqrt_n" in payload["per_statistic"]
-        assert {"mean", "variance", "stderr", "min", "max"} == set(
-            payload["per_statistic"]["S_over_sqrt_n"]
-        )
-
     def test_ztilde_sample_variance_matches_quadrature(self):
         # terminal Ztilde variance against the limit integral, 4 stderr band
         from dihedral_erw.quadrature import var_ztilde_infinity
@@ -344,15 +311,9 @@ class TestLargeScaleExamples:
 
 class TestLilScan:
     def test_band_and_flags(self):
-        cfg = ExperimentConfig(MemoryParams.from_q(0.0), steps=100_000, reps=50, master_seed=SEED)
-        summ = lil_scan(cfg, 100_000)
-        assert 0.5 <= summ.stats["lil_pos"].mean <= 1.5
-        assert 0.5 <= summ.stats["lil_neg"].mean <= 1.5
-
-    def test_short_horizon_rejected(self):
-        cfg = ExperimentConfig(MemoryParams.from_q(0.0), steps=10, reps=5, master_seed=1)
-        with pytest.raises(ValueError):
-            lil_scan(cfg, 10)
+        ens = sample_paths(0.0, 100_000, 50, SEED, collect=("lil",))
+        assert 0.5 <= ens.lil_pos.mean() <= 1.5
+        assert 0.5 <= ens.lil_neg.mean() <= 1.5
 
 
 class TestT2RateFit:
@@ -379,25 +340,31 @@ class TestT2RateFit:
 
 
 class TestWRegimeScan:
+    """|W_n| over r_n and over n / r_n, the almost-sure scale of W_n."""
+
+    @staticmethod
+    def scaled_w(p, n, reps):
+        w_abs = np.abs(sample_paths(MemoryParams.from_p(p).q, n, reps, SEED).W)
+        r = r_norm(n, p)
+        return w_abs / r, w_abs / (n / r)
+
     def test_diffusive_half_normal_moments(self):
-        rows = w_regime_scan([0.5], 10_000, 2000, SEED)
-        summ = rows[0].summary
+        x, scaled = self.scaled_w(0.5, 10_000, 2000)
         expect = math.sqrt(2.0 / math.pi)  # mean of |N(0,1)|
-        assert abs(summ.mean - expect) <= 4 * summ.stderr
+        assert abs(x.mean() - expect) <= 4 * math.sqrt(x.var(ddof=1) / x.size)
         # below the critical memory both normalisations coincide
-        assert rows[0].summary_scaled.mean == summ.mean
+        assert scaled.mean() == x.mean()
 
     def test_regimes_stay_bounded(self):
-        rows = w_regime_scan([0.5, 0.75, 0.9], 100_000, 200, SEED)
-        for row in rows:
+        for p in (0.5, 0.75, 0.9):
+            x, _ = self.scaled_w(p, 100_000, 200)
             # nondegenerate spread with no runaway outliers at fixed n
-            assert row.summary.variance > 0.0
-            assert row.summary.max <= 10.0 * (row.summary.mean + 1.0)
+            assert x.var(ddof=1) > 0.0
+            assert x.max() <= 10.0 * (x.mean() + 1.0)
 
     def test_superdiffusive_scale_is_stable(self):
         # |W_n| / n^q settles onto a nondegenerate random level above the
         # critical memory parameter
-        rows = w_regime_scan([0.9], 100_000, 200, SEED)
-        scaled = rows[0].summary_scaled
-        assert 0.1 < scaled.mean < 10.0
-        assert scaled.variance > 0.0
+        _, scaled = self.scaled_w(0.9, 100_000, 200)
+        assert 0.1 < scaled.mean() < 10.0
+        assert scaled.var(ddof=1) > 0.0
