@@ -85,7 +85,7 @@ def criterion_3_t1_t2_identity() -> CriterionResult:
     def run():
         worst = 0.0
         for q in Q_GRID:
-            for n in (10, 50, 200):
+            for n in (10, 50, 200, 5000):
                 err = abs(var_ztilde_exact(n, q) - (t1(n, q) + 2.0 * t2(n, q)))
                 worst = max(worst, err)
         return worst <= 1e-8, f"max identity error {worst:.2e} (tolerance 1e-8)"

@@ -28,6 +28,7 @@ from scipy.special import gammaln, gammasgn
 
 from .coupling import encode_increment, exhaustive_coupling_check
 from .group import MemoryParams, _check_q, step_prob_a
+from .quadrature import gauss_2f1, j2
 
 
 def h_moment(k: int, q: float) -> float:
@@ -206,44 +207,35 @@ def _var_ztilde_double_sum(n: int, q: float) -> float:
     return math.fsum(total)
 
 
-def t1(n: int, q: float, tol: float = 1e-10) -> float:
+def t1(n: int, q: float) -> float:
     """First variance term: sum over k <= n of a_k * J1(k, q).
 
-    At k + q = 0 (k = 1, q = -1) the factor I vanishes against a divergent
-    J1; the limiting value of the product I * J1 is 1, so that term
-    contributes H(k, q)/k^2.
+    a_k carries I(k, q) and J1 a beta factor B(k+q, 2-q); their product is
+    (1-q)/(k+1), so each term is H(k, q)/k^2 * (1-q)/(k+1) times the Gauss
+    factor of J1.  This form has no pole: at k = 1, q = -1 the term is 1.
     """
-    from .quadrature import j1
-
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
-    a = a_factor_table(n, q)
     h = h_moment_table(n, q)
-    per_call = min(tol / max(n, 1), 1e-12)
-    terms = []
-    for k in range(1, n + 1):
-        if k + q == 0.0:
-            terms.append(h[k] / k**2)
-        else:
-            terms.append(a[k] * j1(k, q, tol=per_call))
-    return math.fsum(terms)
+    return math.fsum(
+        h[k] / k**2 * (1.0 - q) / (k + 1) * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
+        for k in range(1, n + 1)
+    )
 
 
-def t2(n: int, q: float, tol: float = 1e-10) -> float:
+def t2(n: int, q: float) -> float:
     """Second variance term: J2(n, q) times the alternating sum of a_k.
 
     The alternating sum cancels heavily, so it is accumulated with exact
     (fsum) summation rather than a running float total.
     """
-    from .quadrature import j2
-
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
     a = a_factor_table(n, q)
     signed = [(-1.0) ** (n - k) * a[k] for k in range(1, n + 1)]
-    return j2(n, q, tol=tol) * math.fsum(signed)
+    return j2(n, q) * math.fsum(signed)
 
 
 def r_norm(n: float, p: float) -> float:

@@ -1,4 +1,4 @@
-"""Tanh-sinh quadrature on (0, 1) and the limiting-variance integrals.
+"""Tanh-sinh quadrature on (0, 1), the limiting-variance integrals, and J1/J2.
 
 Every integral in this package lives on the open unit interval with at
 worst an integrable algebraic or logarithmic singularity at an endpoint,
@@ -9,6 +9,12 @@ and no node ever lands on 0 or 1.
 Integrands receive both u and 1-u.  The node map computes the two
 coordinates separately through exp, so each is accurate in its own scale
 even when the other has rounded to 1.
+
+The kernels J1 and J2 of the T1 + 2 T2 split are Euler integrals of the
+Gauss function (DLMF 15.6.1), so they are evaluated in closed form: a beta
+prefactor times a 2F1 series at z = -1, which the Pfaff transformation
+(DLMF 15.8.1) turns into a geometric series at z = 1/2.  Quadrature of
+the same integrands serves only as a small-k cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -69,7 +75,10 @@ def integrate(
     The integrand is called as f(u, one_minus_u) and is never evaluated at
     the endpoints.  Levels halve the mesh in the transformed variable and
     reuse previous nodes; the error estimate is the difference between the
-    last two levels.  Failure to converge raises, it is never silent.
+    last two levels.  A level is accepted only once two consecutive level
+    differences are both within tol, so two coarse levels that miss the
+    same narrow peak cannot end the refinement.  Failure to converge
+    raises, it is never silent.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -102,6 +111,7 @@ def integrate(
     err = math.inf
 
     for _ in range(1, _MAX_LEVEL + 1):
+        prev_err = err
         h *= 0.5
         odd_sum = 0.0
         j = 1
@@ -111,7 +121,7 @@ def integrate(
         value = 0.5 * prev + h * odd_sum
         err = abs(value - prev)
         prev = value
-        if err <= tol:
+        if err <= tol and prev_err <= tol:
             return QuadratureResult(value=value, abs_err_estimate=err, evaluations=evals)
 
     raise QuadratureError(
@@ -166,38 +176,32 @@ def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
     return q * q * var_ztilde_infinity(q, tol)
 
 
-def j1(k: int, q: float, tol: float = DEFAULT_TOL) -> float:
-    """Integral of u^(k+q-1) (1-u)^(1-q) / (1+u) over (0, 1)."""
+def j1(k: int, q: float) -> float:
+    """Integral of u^(k+q-1) (1-u)^(1-q) / (1+u) over (0, 1).
+
+    Closed form B(k+q, 2-q) * 2F1(1, k+q; k+2; -1), by DLMF 15.6.1.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     q = _check_q(q)
     if k + q <= 0.0:
         raise ValueError(f"need k + q > 0, got k={k}, q={q}")
-    kq = k + q - 1.0
-    oq = 1.0 - q
-
-    def f(u, um1):
-        log_u = math.log1p(-um1) if u > 0.5 else math.log(u)
-        return math.exp(kq * log_u + oq * math.log(um1)) / (1.0 + u)
-
-    return integrate(f, tol=tol).value
+    beta = math.exp(gammaln(k + q) + gammaln(2.0 - q) - gammaln(k + 2.0))
+    return beta * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
 
 
-def j2(n: int, q: float, tol: float = DEFAULT_TOL) -> float:
+def j2(n: int, q: float) -> float:
     """Integral of u^(n+q) (1-u)^(-q) / (1+u) over (0, 1).
 
-    Bounded by the Euler beta function B(n+q+1, 1-q); see beta_bound.
+    Closed form beta_bound(n, q) * 2F1(1, n+q+1; n+2; -1), by DLMF 15.6.1;
+    the 2F1 factor lies in (1/2, 1), so the beta function is its envelope.
+    The log-gamma difference in the prefactor limits the relative accuracy
+    to about 3e-10 near n = 1e5.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
-    nq = n + q
-
-    def f(u, um1):
-        log_u = math.log1p(-um1) if u > 0.5 else math.log(u)
-        return math.exp(nq * log_u - q * math.log(um1)) / (1.0 + u)
-
-    return integrate(f, tol=tol).value
+    return beta_bound(n, q) * gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0)
 
 
 def beta_bound(n: int, q: float) -> float:

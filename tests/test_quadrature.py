@@ -46,6 +46,19 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda u, um1: 1.0, tol=0.0)
 
+    def test_narrow_peak_is_not_missed(self):
+        # the J1 integrand at k = 5000, q = -1/2 peaks in a sliver near
+        # u = 1 that the first levels miss alike; a stop rule satisfied by
+        # one small level difference returned 2.630e-10 here
+        k, q = 5000, -0.5
+
+        def f(u, um1):
+            log_u = math.log1p(-um1) if u > 0.5 else math.log(u)
+            return math.exp((k + q - 1.0) * log_u + (1.0 - q) * math.log(um1)) / (1.0 + u)
+
+        res = integrate(f, tol=1e-10)
+        assert res.value == pytest.approx(3.7604123636082086e-10, abs=1e-10)
+
 
 class TestPhiIntegrand:
     def test_memoryless_reduces_to_rational(self):
@@ -153,6 +166,24 @@ class TestJ1J2:
         with pytest.raises(ValueError):
             j2(0, 0.5)
 
+    # 40-digit references from mpmath 1.3 (mp.dps = 40), computed as
+    # beta(b, c - b) * hyp2f1(1, b, c, -1) with the b, c of each kernel;
+    # the J1 values also agree with mpmath.quad of the integrand itself
+    MPMATH_TABLE = (
+        (j1, 5000, -0.5, 3.7604123636082086e-10),
+        (j1, 20000, 0.3, 2.2161784101107933e-8),
+        (j1, 5000, 0.0, 1.9999999600000032e-8),
+        (j2, 100_000, 0.3, 2.0523963516190262e-4),
+        (j2, 100_000, 0.5, 2.8024850988688967e-3),
+        (j2, 100_000, 0.7, 4.7300738276276844e-2),
+        (j2, 100_000, -0.5, 1.4012425493819019e-8),
+    )
+
+    @pytest.mark.parametrize("fn, n, q, want", MPMATH_TABLE,
+                             ids=lambda v: getattr(v, "__name__", None))
+    def test_against_mpmath(self, fn, n, q, want):
+        assert fn(n, q) == pytest.approx(want, rel=1e-9)
+
     def test_j1_positive_and_decreasing_in_k(self):
         vals = [j1(k, 0.3) for k in (1, 2, 5, 20)]
         assert all(v > 0 for v in vals)
@@ -180,19 +211,25 @@ class TestGauss2F1:
 
     def test_against_euler_integral(self):
         # Euler form: Gamma(c) / (Gamma(b) Gamma(c-b)) * integral of
-        # t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a); valid for c > b > 0
+        # t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a); valid for c > b > 0.  The
+        # J1 (b = k+q) and J2 (b = k+q+1) triples at z = -1 and small k
+        # cross-check the closed forms j1 and j2 by quadrature
         from scipy.special import gammaln
 
-        for a, b, c in ((0.4, 0.7, 1.9), (1.0, 1.0, 2.0), (2.2, 0.5, 2.7)):
-            for z in (-1.0, -0.4, 0.0, 0.35, 0.8):
-                pref = math.exp(gammaln(c) - gammaln(b) - gammaln(c - b))
-                res = integrate(
-                    lambda u, um1: u ** (b - 1) * um1 ** (c - b - 1) * (1 - z * u) ** (-a),
-                    tol=1e-12,
-                )
-                assert gauss_2f1(a, b, c, z) == pytest.approx(
-                    pref * res.value, abs=1e-10
-                )
+        cases = [(a, b, c, z)
+                 for a, b, c in ((0.4, 0.7, 1.9), (1.0, 1.0, 2.0), (2.2, 0.5, 2.7))
+                 for z in (-1.0, -0.4, 0.0, 0.35, 0.8)]
+        cases += [(1.0, k + q + shift, k + 2.0, -1.0)
+                  for k in (1, 2, 5) for q in (-0.5, 0.3, 0.8) for shift in (0.0, 1.0)]
+        for a, b, c, z in cases:
+            pref = math.exp(gammaln(c) - gammaln(b) - gammaln(c - b))
+            res = integrate(
+                lambda u, um1: u ** (b - 1) * um1 ** (c - b - 1) * (1 - z * u) ** (-a),
+                tol=1e-12,
+            )
+            assert gauss_2f1(a, b, c, z) == pytest.approx(
+                pref * res.value, abs=1e-10
+            )
 
     def test_domains(self):
         with pytest.raises(ValueError):
