@@ -182,8 +182,7 @@ def criterion_7_slln_qsl() -> CriterionResult:
             ok &= frac <= 0.01
             msgs.append(f"q={q:+.1f}: mean|S|/n={frac:.4f}")
         for q in (0.0, 0.5):
-            # lil rides along so that criterion 8 reads the same stored ensemble
-            big = sample_paths(q, 1_000_000, 100, MASTER_SEED, collect=("qsl", "lil"))
+            big = sample_paths(q, 1_000_000, 100, MASTER_SEED, collect=("qsl",))
             qsl_mean = float(big.qsl().mean())
             ok &= 0.85 <= qsl_mean <= 1.15
             msgs.append(f"q={q:+.1f}: QSL={qsl_mean:.3f}")

@@ -44,12 +44,17 @@ def h_moment_table(n: int, q: float) -> np.ndarray:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
     out = np.empty(n + 1)
-    out[0] = np.nan
+    out[0], out[1] = np.nan, 1.0
     h = 1.0
-    out[1] = h
-    for j in range(1, n):
-        h = (1.0 + 2.0 * q / j) * h + 1.0
-        out[j + 1] = h
+    # H(k+1) = (1 + 2q/k) H(k) + 1 over Python floats, 4096 values of k at a
+    # time, so that few float objects are alive at once
+    for k0 in range(1, n, 4096):
+        ks = np.arange(k0, min(n, k0 + 4096), dtype=float)
+        block = []
+        for a in (1.0 + (2.0 * q) / ks).tolist():
+            h = a * h + 1.0
+            block.append(h)
+        out[k0 + 1:k0 + 1 + len(block)] = block
     return out
 
 
@@ -233,9 +238,9 @@ def t2(n: int, q: float) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
-    a = a_factor_table(n, q)
-    signed = [(-1.0) ** (n - k) * a[k] for k in range(1, n + 1)]
-    return j2(n, q) * math.fsum(signed)
+    signed = a_factor_table(n, q)[1:]
+    signed[-2::-2] *= -1.0          # (-1)^(n-k) a_k; sign flips are exact
+    return j2(n, q) * math.fsum(signed.tolist())
 
 
 def r_norm(n: float, p: float) -> float:

@@ -6,11 +6,16 @@ consumes exactly one uniform per step from its own counter-based stream
 same in every ensemble of at least i + 1 rows.  That is what
 lets sample_paths compute each ensemble once per process and answer
 narrower requests from stored rows.
+
+The step loop only advances the walk and its compensated sums.  The path
+collectors (qsl, lil, doob) are computed from a short history of those
+steps, block by block, all three in the one pass that any of them needs.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -56,6 +61,11 @@ class PathStats:
     doob_resid_max: Optional[np.ndarray] = None
     qv_resid_max: Optional[np.ndarray] = None
     snapshots: Dict[int, np.ndarray] = field(default_factory=dict)
+    # perf_counter seconds of the pass this call ran, by part: "fill"
+    # (uniforms), "steps" (the step loop, snapshots included) and
+    # "collectors", read at fill-chunk and collector-block edges, never per
+    # step; empty when the store answered the call
+    seconds: Dict[str, float] = field(default_factory=dict)
 
     def qsl(self) -> np.ndarray:
         if self.qsl_sum is None:
@@ -64,9 +74,10 @@ class PathStats:
 
 
 # Process-wide ensemble store: (q, steps, master_seed) -> {item: arrays}.
-# An item is "paths" (W, S, Xi, Ztilde, QV), a collector name, or a snapshot
-# step; each holds the first rows of its arrays.  Row i depends only on stream
-# i, so any stored prefix answers every request for at most that many rows.
+# An item is "paths" (W, S, Xi, Ztilde, QV), "collectors" (the arrays of
+# _Collectors.arrays) or a snapshot step; each holds the first rows of its
+# arrays.  Row i depends only on stream i, so any stored prefix answers every
+# request for at most that many rows.
 _ENSEMBLES: Dict[tuple, Dict[object, tuple]] = {}
 _UNIFORMS = np.empty(0)
 
@@ -85,10 +96,15 @@ def sample_paths(
     collect may contain "qsl" (needs steps >= 2), "lil" (running max from
     step LIL_START on, so needs steps >= LIL_START) and "doob"; terminal
     values of W, S, Xi, Ztilde and QV are always recorded, as are
-    S-snapshots at the requested steps.  An ensemble is computed once per
-    process: a request that earlier ones already cover (at least as many
-    rows, holding every requested collector and snapshot step) is answered
-    with copies of stored rows.
+    S-snapshots at the requested steps.  A pass that computes any
+    collector computes all of them (lil only when steps >= LIL_START), and
+    the result carries the requested ones.
+
+    An ensemble is computed once per process: a request that earlier ones
+    already cover (at least as many rows, with collectors if any is
+    requested, and every requested snapshot step) is answered with copies
+    of stored rows.  So after one request with a collector, a request for
+    another collector on no more rows evolves nothing.
     """
     if steps < 1 or reps < 1:
         raise ValueError("steps and reps must be at least 1")
@@ -111,21 +127,24 @@ def sample_paths(
     def stored_rows(item) -> int:
         return len(entry[item][0]) if item in entry else 0
 
-    if any(stored_rows(k) < reps for k in ("paths", *collect, *snapshot_steps)):
-        fresh = _evolve(q, steps, reps, master_seed, collect, snapshot_steps)
+    out = PathStats(q=q, steps=steps, reps=reps, master_seed=master_seed)
+    needed = ("paths", *snapshot_steps) + (("collectors",) if collect else ())
+    if any(stored_rows(k) < reps for k in needed):
+        fresh, out.seconds = _evolve(q, steps, reps, master_seed, bool(collect), snapshot_steps)
         entry.update((k, arrays) for k, arrays in fresh.items() if stored_rows(k) < reps)
 
     def rows(k):
         return tuple(a[:reps].copy() for a in entry[k])
 
-    out = PathStats(q=q, steps=steps, reps=reps, master_seed=master_seed)
     out.W, out.S, out.Xi, out.Ztilde, out.QV = rows("paths")
-    if "qsl" in collect:
-        (out.qsl_sum,) = rows("qsl")
-    if "lil" in collect:
-        out.lil_pos, out.lil_neg = rows("lil")
-    if "doob" in collect:
-        out.doob_resid_max, out.qv_resid_max = rows("doob")
+    if collect:
+        qsl_sum, lil_pos, lil_neg, doob_resid_max, qv_resid_max = rows("collectors")
+        if "qsl" in collect:
+            out.qsl_sum = qsl_sum
+        if "lil" in collect:
+            out.lil_pos, out.lil_neg = lil_pos, lil_neg
+        if "doob" in collect:
+            out.doob_resid_max, out.qv_resid_max = doob_resid_max, qv_resid_max
     out.snapshots = {m: rows(m)[0] for m in snapshot_steps}
     return out
 
@@ -143,10 +162,11 @@ def _uniform_buffer(chunk: int, reps: int) -> np.ndarray:
     return _UNIFORMS[:chunk * reps].reshape(chunk, reps)
 
 
-def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> dict:
-    """One lockstep pass over replications 0..reps-1; returns the store items.
+def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
+    """One lockstep pass over replications 0..reps-1.
 
-    Each step performs the same IEEE operations, in the same order, as the
+    Returns the store items and the pass's seconds (see PathStats).  Each
+    step performs the same IEEE operations, in the same order, as the
     scalar chain in coupling.advance, so every row is bit-identical to it;
     the letter is drawn with a buffered form of group.step_prob_a, so the
     scalar samplers turn each uniform into the same letter.
@@ -159,114 +179,173 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> dict:
     - the Kahan pair K holds (-Xi, Ztilde), whose increments are both
       (-1)^n times the row of P = (e + q w, w), w = W_n / n;
     - the Neumaier pair N holds (sum q^2 w^2, sum w^2), the latter only
-      with "doob".  Its first term is the largest (|w| <= 1 and the terms
-      are non-negative), so the branch |sum| >= |term| is taken from the
-      second term on, and at the first both branches give 0.
+      with collectors.  Its first term is the largest (|w| <= 1 and the
+      terms are non-negative), so the branch |sum| >= |term| is taken from
+      the second term on, and at the first both branches give 0.
+
+    The step from time n reads S, K, N and N's carry NC from row n % ring
+    of a history ring and writes them to row (n + 1) % ring.  A bare pass
+    (collect false) needs only the last state: K and N alternate between
+    two rows, and S and NC are updated in place.  With collect true the ring
+    holds a block of steps, and _Collectors reads each block once its last
+    row is written.
     """
-    qsl_on = "qsl" in collect
-    lil_on = "lil" in collect
-    doob_on = "doob" in collect
     snaps = {m: np.empty(reps, dtype=np.int64) for m in snapshot_steps}
     streams = [replication_stream(master_seed, i) for i in range(reps)]
+    chunk = int(max(64, min(8192, (1 << 22) // reps)))
+    ring = int(max(2, min(chunk, (1 << 16) // reps))) if collect else 2
 
     half, one, c_q, c_hq, c_qq = (np.array(v) for v in (0.5, 1.0, q, 0.5 * q, q * q))
-    n_, m_, scale_ = np.zeros(()), np.zeros(()), np.zeros(())
-    W, S, e, tmp = (np.zeros(reps) for _ in range(4))
-    P, Y, KC, ka, kb = (np.zeros((2, reps)) for _ in range(5))
-    X, R, NC, na, nb = (np.zeros((2 if doob_on else 1, reps)) for _ in range(5))
+    n_ = np.zeros(())
+    W, e = np.zeros(reps), np.zeros(reps)
+    P, Y, KC = (np.zeros((2, reps)) for _ in range(3))
+    X, R = (np.zeros((2 if collect else 1, reps)) for _ in range(2))
     w, P0, qv_term, w_sq = P[1], P[0], X[0], X[-1]
-    # K (-Xi, Ztilde) and N before step n alternate between two buffers by
-    # the parity of n, so each step writes the other one and nothing is copied
-    bank = ((kb, ka, ka[0], ka[1], nb, na), (ka, kb, kb[0], kb[1], na, nb))
-    if qsl_on:
-        qsl = np.zeros(reps)
-    if lil_on:
-        lil_pos = np.full(reps, -np.inf)
-        lil_neg_neg = np.full(reps, np.inf)        # -lil_neg, tracked with minimum
-    if doob_on:
-        SUMS, RES, DMAX = (np.zeros((2, reps)) for _ in range(3))
-        sum_qv, sum_wsq, res_s, res_qv = SUMS[0], SUMS[1], RES[0], RES[1]
+    kept = ring if collect else 1                   # a bare pass updates S and NC in place
+    S_h, K_h = np.zeros((kept, reps)), np.zeros((ring, 2, reps))
+    N_h, NC_h = np.zeros((ring,) + X.shape), np.zeros((kept,) + X.shape)
+    # one view object per row: numpy takes a slower overlap path when out= is
+    # another view of an input's memory, so in place must mean out is the input
+    S_rows, NC_rows = list(S_h), list(NC_h)
+    rows = [(S_rows[r % kept], K_h[r], N_h[r], NC_rows[r % kept]) for r in range(ring)]
+    steps_to = [rows[r - 1] + rows[r] for r in range(ring)]     # states before, after
+    collectors = _Collectors(q, reps, ring) if collect else None
 
-    chunk = int(max(64, min(8192, (1 << 22) // reps)))
+    seconds = {"fill": 0.0, "steps": 0.0, "collectors": 0.0}
     u_buf = _uniform_buffer(chunk, reps)
+    clock = time.perf_counter()
     n = 0                                           # time before the step
     for m0 in range(0, steps, chunk):
         c_eff = min(chunk, steps - m0)
         for i, st in enumerate(streams):
             u_buf[:c_eff, i] = st.random(c_eff)
-        for u in u_buf[:c_eff]:
-            m = n + 1
-            K, K_new, xi_neg, zt, N, N_new = bank[n & 1]
-            if n == 0:                              # p = 1/2; no Ztilde or QV term
-                np.subtract(u, half, out=e)
-                np.copysign(one, e, out=e)
-                np.copyto(xi_neg, e)
-            else:
-                n_[()] = n
-                np.divide(W, n_, out=w)
-                np.multiply(c_hq, w, out=e)
-                np.add(e, half, out=e)              # p = 1/2 + (q/2) w
-                np.subtract(u, e, out=e)
-                np.copysign(one, e, out=e)          # e = -dW
-                np.multiply(c_q, w, out=P0)
-                np.add(P0, e, out=P0)
-                if n & 1:                           # increments -P, so y = -(P + c)
-                    np.add(P, KC, out=Y)
-                    np.subtract(K, Y, out=K_new)
-                    np.subtract(K_new, K, out=KC)
-                    np.add(KC, Y, out=KC)
+        clock = _lap(seconds, "fill", clock)
+        lo = 0
+        while lo < c_eff:                           # a block: steps first.. on rows r0..
+            first = m0 + lo + 1
+            r0 = first % ring
+            hi = c_eff if collectors is None else min(c_eff, lo + ring - r0)
+            for u in u_buf[lo:hi]:
+                m = n + 1
+                S, K, N, NC, S_new, K_new, N_new, NC_new = steps_to[m % ring]
+                if n == 0:                          # p = 1/2; no Ztilde or QV term
+                    np.subtract(u, half, out=e)
+                    np.copysign(one, e, out=e)
+                    np.copyto(K_new[0], e)
                 else:
-                    np.subtract(P, KC, out=Y)
-                    np.add(K, Y, out=K_new)
-                    np.subtract(K_new, K, out=KC)
-                    np.subtract(KC, Y, out=KC)
-                np.multiply(w, w, out=w_sq)
-                np.multiply(c_qq, w_sq, out=qv_term)
-                np.add(N, X, out=N_new)             # Neumaier: c += (sum - t) + x
-                np.subtract(N, N_new, out=R)
-                np.add(R, X, out=R)
-                np.add(NC, R, out=NC)
-            np.subtract(W, e, out=W)
-            if n & 1:
-                np.add(S, e, out=S)
-            else:
-                np.subtract(S, e, out=S)
-            if qsl_on:
-                m_[()] = m
-                np.divide(S, m_, out=tmp)
-                np.multiply(tmp, tmp, out=tmp)
-                np.add(qsl, tmp, out=qsl)
-            if lil_on and m >= LIL_START:
-                scale_[()] = 1.0 / math.sqrt(2.0 * m * math.log(math.log(m)))
-                np.multiply(S, scale_, out=tmp)
-                np.maximum(lil_pos, tmp, out=lil_pos)
-                np.minimum(lil_neg_neg, tmp, out=lil_neg_neg)
-            if doob_on:
-                # |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|
-                np.add(S, xi_neg, out=res_s)
-                np.multiply(c_q, zt, out=tmp)
-                np.subtract(res_s, tmp, out=res_s)
-                np.add(N_new, NC, out=SUMS)
-                np.multiply(c_qq, sum_wsq, out=tmp)
-                np.subtract(sum_qv, tmp, out=res_qv)
-                np.absolute(RES, out=RES)
-                np.maximum(DMAX, RES, out=DMAX)
-            if m in snaps:
-                snaps[m][:] = S
-            n = m
+                    n_[()] = n
+                    np.divide(W, n_, out=w)
+                    np.multiply(c_hq, w, out=e)
+                    np.add(e, half, out=e)          # p = 1/2 + (q/2) w
+                    np.subtract(u, e, out=e)
+                    np.copysign(one, e, out=e)      # e = -dW
+                    np.multiply(c_q, w, out=P0)
+                    np.add(P0, e, out=P0)
+                    if n & 1:                       # increments -P, so y = -(P + c)
+                        np.add(P, KC, out=Y)
+                        np.subtract(K, Y, out=K_new)
+                        np.subtract(K_new, K, out=KC)
+                        np.add(KC, Y, out=KC)
+                    else:
+                        np.subtract(P, KC, out=Y)
+                        np.add(K, Y, out=K_new)
+                        np.subtract(K_new, K, out=KC)
+                        np.subtract(KC, Y, out=KC)
+                    np.multiply(w, w, out=w_sq)
+                    np.multiply(c_qq, w_sq, out=qv_term)
+                    np.add(N, X, out=N_new)         # Neumaier: c += (sum - t) + x
+                    np.subtract(N, N_new, out=R)
+                    np.add(R, X, out=R)
+                    np.add(NC, R, out=NC_new)
+                np.subtract(W, e, out=W)
+                if n & 1:
+                    np.add(S, e, out=S_new)
+                else:
+                    np.subtract(S, e, out=S_new)
+                if m in snaps:
+                    snaps[m][:] = S_new
+                n = m
+            clock = _lap(seconds, "steps", clock)
+            if collectors is not None:
+                block = slice(r0, r0 + hi - lo)
+                collectors.add(first, S_h[block], K_h[block], N_h[block], NC_h[block])
+                clock = _lap(seconds, "collectors", clock)
+            lo = hi
 
-    K, _, _, _, N, _ = bank[n & 1]
+    S, K, N, NC = rows[n % ring]
     xi = np.subtract(0.0, K[0])         # a zero comes out as +0, as in the scalar sum
     items = {"paths": (W.astype(np.int64), S.astype(np.int64), xi, K[1].copy(),
                        steps - (N[0] + NC[0]))}
-    if qsl_on:
-        items["qsl"] = (qsl,)
-    if lil_on:
-        items["lil"] = (lil_pos, np.negative(lil_neg_neg))
-    if doob_on:
-        items["doob"] = (DMAX[0].copy(), DMAX[1].copy())
+    if collectors is not None:
+        items["collectors"] = collectors.arrays()
     items.update((m, (s,)) for m, s in snaps.items())
-    return items
+    return items, seconds
+
+
+def _lap(seconds: dict, key: str, since: float) -> float:
+    now = time.perf_counter()
+    seconds[key] += now - since
+    return now
+
+
+class _Collectors:
+    """qsl, lil and doob of one pass, computed block by block from the history.
+
+    Each collector does, per row, the IEEE operations the scalar chain does
+    per step, so it is bit-identical to a per-step update: the qsl sum is
+    continued along the steps by np.add.accumulate, which adds strictly in
+    order, and max/min are exact in any order.  No value is NaN or -0.0
+    (S starts at +0.0 and x - x is +0.0; the doob residuals are absolute
+    values), so the order of the max/min reductions cannot show either.
+    """
+
+    def __init__(self, q: float, reps: int, ring: int):
+        self.c_q, self.c_qq = np.array(q), np.array(q * q)
+        self.qsl = np.zeros(reps)
+        self.lil_pos = np.full(reps, -np.inf)
+        self.lil_neg_neg = np.full(reps, np.inf)    # -lil_neg, tracked with minimum
+        self.dmax = np.zeros((2, reps))
+        self.T, self.U = np.empty((ring, reps)), np.empty((ring, reps))
+
+    def add(self, first: int, S, K, N, NC) -> None:
+        """Rows are steps first, first + 1, ...: S, K = (-Xi, Ztilde), N and NC."""
+        b = len(S)
+        T, U = self.T[:b], self.U[:b]
+        # qsl: sum of (S_m / m)^2, continued from the running sum
+        np.divide(S, np.arange(first, first + b, dtype=float)[:, None], out=T)
+        np.multiply(T, T, out=T)
+        np.add(self.qsl, T[0], out=T[0])
+        np.add.accumulate(T, axis=0, out=T)
+        self.qsl[:] = T[-1]
+        # lil: running max of +-S_m / sqrt(2 m lnln m) from step LIL_START on
+        j = max(0, LIL_START - first)
+        if j < b:
+            scale = [1.0 / math.sqrt(2.0 * m * math.log(math.log(m)))
+                     for m in range(first + j, first + b)]
+            np.multiply(S[j:], np.array(scale)[:, None], out=T[j:])
+            np.maximum(self.lil_pos, T[j:].max(axis=0), out=self.lil_pos)
+            np.minimum(self.lil_neg_neg, T[j:].min(axis=0), out=self.lil_neg_neg)
+        # doob: |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|
+        np.add(S, K[:, 0], out=T)
+        np.multiply(self.c_q, K[:, 1], out=U)
+        np.subtract(T, U, out=T)
+        np.absolute(T, out=T)
+        np.maximum(self.dmax[0], T.max(axis=0), out=self.dmax[0])
+        np.add(N[:, 0], NC[:, 0], out=T)
+        np.add(N[:, 1], NC[:, 1], out=U)
+        np.multiply(self.c_qq, U, out=U)
+        np.subtract(T, U, out=T)
+        np.absolute(T, out=T)
+        np.maximum(self.dmax[1], T.max(axis=0), out=self.dmax[1])
+
+    def arrays(self) -> tuple:
+        """qsl_sum, lil_pos, lil_neg, doob_resid_max, qv_resid_max.
+
+        lil stays at -inf/+inf when steps < LIL_START; sample_paths never
+        returns it then.
+        """
+        return (self.qsl, self.lil_pos, np.negative(self.lil_neg_neg),
+                self.dmax[0].copy(), self.dmax[1].copy())
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -48,6 +49,20 @@ def fresh_store(monkeypatch):
     """An empty ensemble store for one test; the process-wide one comes back after."""
     monkeypatch.setattr(montecarlo, "_ENSEMBLES", {})
     return lambda: montecarlo._ENSEMBLES.clear()
+
+
+def digest(ens) -> str:
+    """sha256 over every field and snapshot of an ensemble, with their names."""
+    h = hashlib.sha256()
+    for name in FIELDS:
+        a = getattr(ens, name)
+        if a is not None:
+            h.update(name.encode())
+            h.update(a.tobytes())
+    for m in sorted(ens.snapshots):
+        h.update(str(m).encode())
+        h.update(ens.snapshots[m].tobytes())
+    return h.hexdigest()
 
 
 def assert_same_rows(a, b):
@@ -121,6 +136,41 @@ class TestEngine:
         assert ens.W[0] == w
         assert [int(ens.snapshots[m][0]) for m in range(1, steps + 1)] == s_path
 
+    # Pinned bits of the engine.  At 100 rows a collector block ends at step
+    # 654 and every 655 steps after it, and a uniform chunk every 8192 steps;
+    # the snapshots sit on and next to both edges.
+    @pytest.mark.parametrize("q, steps, reps, collect, snaps, expect", [
+        (0.5, 20_000, 100, ("qsl", "lil", "doob"),
+         (1, 653, 654, 655, 656, 1309, 1310, 8191, 8192, 8193, 19_999, 20_000),
+         "05757b90d4711d41f5126503515039679e3b42cb5165515586a6a7a54f456666"),
+        (-1.0, 5000, 513, ("qsl", "lil", "doob"), (),
+         "b661e7d74170cc10149391a10f76f8ecdb948f0b0fe59bc4e2167a65d1cebf2e"),
+        (0.8, 3000, 2000, (), (1, 1500, 2999, 3000),
+         "9a6887ca21f551a34697f9c80c6cd853edf369ec5e65f487d7838772812c6c7f"),
+    ])
+    def test_golden_digests(self, fresh_store, q, steps, reps, collect, snaps, expect):
+        assert digest(sample_paths(q, steps, reps, 3, collect=collect,
+                                   snapshot_steps=snaps)) == expect
+
+    @pytest.mark.parametrize("steps", (2, LIL_START - 1, LIL_START))
+    def test_collectors_at_short_horizons(self, fresh_store, steps):
+        # below LIL_START a collector pass leaves lil out and keeps the rest
+        collect = ("qsl", "doob", "lil") if steps >= LIL_START else ("qsl", "doob")
+        ens = sample_paths(0.3, steps, 3, 1, collect=collect, snapshot_steps=range(1, steps + 1))
+        for i in range(3):
+            qsl, lil_pos, lil_neg = 0.0, -math.inf, -math.inf
+            for m in range(1, steps + 1):
+                s_m = float(ens.snapshots[m][i])
+                qsl += (s_m / m) ** 2
+                if m >= LIL_START:
+                    ratio = s_m * (1.0 / math.sqrt(2.0 * m * math.log(math.log(m))))
+                    lil_pos, lil_neg = max(lil_pos, ratio), max(lil_neg, -ratio)
+            assert ens.qsl_sum[i] == qsl
+            if "lil" in collect:
+                assert (ens.lil_pos[i], ens.lil_neg[i]) == (lil_pos, lil_neg)
+        assert (ens.lil_pos is not None) == ("lil" in collect)
+        assert ens.doob_resid_max.max() < 1e-12 and ens.qv_resid_max.max() < 1e-12
+
     def test_deterministic_and_prefix_invariant(self, fresh_store):
         # row i depends only on stream i: a narrower ensemble is a prefix
         kw = dict(collect=("qsl", "lil", "doob"), snapshot_steps=(100, 500))
@@ -175,7 +225,8 @@ class TestEngine:
 
 
 class TestEnsembleStore:
-    KW = dict(collect=("qsl", "lil", "doob"), snapshot_steps=(120, 400))
+    ALL = ("qsl", "lil", "doob")
+    KW = dict(collect=ALL, snapshot_steps=(120, 400))
 
     def test_mutating_a_result_leaves_later_results_unchanged(self, fresh_store):
         expect = sample_paths(0.3, 400, 16, 5, **self.KW)
@@ -189,15 +240,20 @@ class TestEnsembleStore:
         assert_same_rows(expect, sample_paths(0.3, 400, 16, 5, **self.KW))
         assert_same_rows(expect, sample_paths(0.3, 400, 4, 5, **self.KW))
 
-    @pytest.mark.parametrize("reps, collect, snaps", [
-        (5, ("qsl", "lil", "doob"), (120, 400)),     # fewer rows
-        (16, ("lil",), (400,)),                      # fewer collectors and snapshots
-        (7, (), ()),                                 # bare prefix
-        (40, ("qsl", "lil", "doob"), (120, 400)),    # more rows
-        (16, ("qsl", "doob"), (1, 120, 400)),        # another snapshot step
+    # first: the collectors of the earlier request, whose snapshots are KW's
+    @pytest.mark.parametrize("reps, collect, snaps, first", [
+        (5, ("qsl", "lil", "doob"), (120, 400), ALL),    # fewer rows
+        (16, ("lil",), (400,), ALL),                     # fewer collectors and snapshots
+        (7, (), (), ALL),                                # bare prefix
+        (40, ("qsl", "lil", "doob"), (120, 400), ALL),   # more rows
+        (16, ("qsl", "doob"), (1, 120, 400), ALL),       # another snapshot step
+        (16, ("doob",), (), ("lil",)),                   # another collector
+        (9, ("qsl",), (120,), ("lil",)),                 # another collector, fewer rows
+        (16, ("doob",), (120,), ()),                     # a collector after a bare pass
     ])
-    def test_subset_and_superset_requests_equal_fresh(self, fresh_store, reps, collect, snaps):
-        sample_paths(0.5, 400, 16, 5, **self.KW)
+    def test_subset_and_superset_requests_equal_fresh(self, fresh_store, reps, collect, snaps,
+                                                       first):
+        sample_paths(0.5, 400, 16, 5, collect=first, snapshot_steps=self.KW["snapshot_steps"])
         kw = dict(collect=collect, snapshot_steps=snaps)
         served = sample_paths(0.5, 400, reps, 5, **kw)
         fresh_store()
@@ -212,8 +268,13 @@ class TestEnsembleStore:
             return real(seed, index)
 
         monkeypatch.setattr(montecarlo, "replication_stream", counting)
-        sample_paths(0.5, 400, 16, 5, collect=("lil",))
-        sample_paths(0.5, 400, 10, 5, collect=("lil",))
+        computed = sample_paths(0.5, 400, 16, 5, collect=("lil",))
+        assert set(computed.seconds) == {"fill", "steps", "collectors"}
+        assert all(t >= 0.0 for t in computed.seconds.values())
+        assert sample_paths(0.5, 400, 10, 5, collect=("lil",)).seconds == {}
+        # one collector pass holds every collector
+        sample_paths(0.5, 400, 16, 5, collect=("doob",))
+        sample_paths(0.5, 400, 12, 5, collect=("qsl",))
         assert len(opened) == 16
         # a narrower miss adds its snapshot and keeps the wider rows
         sample_paths(0.5, 400, 4, 5, snapshot_steps=(200,))
