@@ -172,6 +172,8 @@ def _cmd_moments(parser, args) -> int:
 def _cmd_variance(parser, args) -> int:
     if args.tol <= 0:
         parser.error("--tol must be positive")
+    if args.exact_n is not None and args.exact_n < 1:
+        parser.error("--exact-n must be at least 1")
     params = _params_from_args(parser, args, allow_p_one=False)
     res = var_ztilde_infinity_result(params.q, tol=args.tol)
     payload = {
@@ -180,10 +182,9 @@ def _cmd_variance(parser, args) -> int:
         "var_Ztilde_infinity": res.value,
         "abs_err": res.abs_err_estimate,
         "evaluations": res.evaluations,
+        "levels": res.levels,
     }
     if args.exact_n is not None:
-        if args.exact_n < 1:
-            parser.error("--exact-n must be at least 1")
         payload["exact_n"] = args.exact_n
         payload["var_Ztilde_exact_n"] = var_ztilde_exact(args.exact_n, params.q)
     print(json.dumps(payload))

@@ -5,7 +5,8 @@ conditional-variance recursion
 
     H(1) = 1,  H(k+1) = (1 + 2q/k) H(k) + 1,
 
-which is taken as the defining computation: the gamma-ratio closed form
+which is taken as the defining computation (h_moment_table solves it in
+blocks of k by cumulative products and sums): the gamma-ratio closed form
 needs a 1/Gamma(0) = 1/Gamma(-1) = 0 convention at q in {0, -1/2} and has
 an unhandled pole at q = -1, so it serves only as a cross-check where its
 arguments stay clear of poles.
@@ -39,22 +40,30 @@ def h_moment(k: int, q: float) -> float:
 
 
 def h_moment_table(n: int, q: float) -> np.ndarray:
-    """Array of H(k, q) for k = 1..n (index 0 unused, set to nan)."""
+    """Array of H(k, q) for k = 1..n (index 0 unused, set to nan).
+
+    H(k+1) = a_k H(k) + 1 with a_k = 1 + 2q/k.  a_1 = 1 + 2q and a_2 = 1 + q
+    can be zero or negative, so H(2) and H(3) come one step at a time.  From
+    k = 3 on every a_k is positive, and each block of 4096 steps from a known
+    H(k0) is solved at once: with Q_j = a_k0 ... a_(k0+j-1),
+
+        H(k0 + j) = Q_j (H(k0) + sum_{m=1}^{j} 1/Q_m).
+
+    Rounding in Q_j grows with the block length: one product over all of
+    k <= 1e6 was 6.5e-13 off at q = 1/2, blocks of 4096 stay within 1e-13
+    of the 40-digit value.  The block edges are fixed in k, so H(k) does
+    not depend on n.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
     out = np.empty(n + 1)
     out[0], out[1] = np.nan, 1.0
-    h = 1.0
-    # H(k+1) = (1 + 2q/k) H(k) + 1 over Python floats, 4096 values of k at a
-    # time, so that few float objects are alive at once
-    for k0 in range(1, n, 4096):
-        ks = np.arange(k0, min(n, k0 + 4096), dtype=float)
-        block = []
-        for a in (1.0 + (2.0 * q) / ks).tolist():
-            h = a * h + 1.0
-            block.append(h)
-        out[k0 + 1:k0 + 1 + len(block)] = block
+    for k in range(1, min(n, 3)):
+        out[k + 1] = (1.0 + (2.0 * q) / k) * out[k] + 1.0
+    for k0 in range(3, n, 4096):
+        prod = np.cumprod(1.0 + (2.0 * q) / np.arange(k0, min(n, k0 + 4096), dtype=float))
+        out[k0 + 1:k0 + 1 + len(prod)] = prod * (out[k0] + np.cumsum(1.0 / prod))
     return out
 
 
@@ -171,26 +180,16 @@ def var_ztilde_exact(n: int, q: float) -> float:
     e = np.empty(n + 1)
     e[:2] = np.nan
     e[2] = 1.0
-    if n >= 3:
-        factors = 1.0 + q / np.arange(2, n, dtype=float)
-        e[3:] = np.cumprod(factors)
-
-    sign = np.where(np.arange(0, n + 1) % 2 == 0, 1.0, -1.0)
+    e[3:] = np.cumprod(1.0 + q / k[2:n])
+    sign = np.ones(n + 1)  # (-1)^l
+    sign[1::2] = -1.0
 
     # k = 1 against every later l: ratio (1+q)_l/(1+1)_l telescopes to (1+q) e_l
-    l_idx = np.arange(2, n + 1)
-    cross1 = float(np.sum(sign[l_idx] * -1.0 / l_idx * (1.0 + q) * e[l_idx] * h[1]))
+    cross1 = float(np.sum(sign[2:] * -1.0 / k[2:] * (1.0 + q) * e[2:] * h[1]))
 
-    cross2 = 0.0
-    if n >= 3:
-        # u_k = (-1)^k H_k / (k e_k), prefix-summed over k = 2..l-1
-        k_idx = np.arange(2, n + 1)
-        u = sign[k_idx] * h[k_idx] / (k_idx * e[k_idx])
-        prefix = np.cumsum(u)  # prefix[j] = sum over k = 2..(2+j)
-        l_idx2 = np.arange(3, n + 1)
-        cross2 = float(
-            np.sum(sign[l_idx2] * e[l_idx2] / l_idx2 * prefix[l_idx2 - 3])
-        )
+    # u_k = (-1)^k H_k / (k e_k), prefix-summed over k = 2..l-1
+    prefix = np.cumsum(sign[2:-1] * h[2:-1] / (k[2:-1] * e[2:-1]))
+    cross2 = float(np.sum(sign[3:] * e[3:] / k[3:] * prefix))
 
     return base + 2.0 * (cross1 + cross2)
 
@@ -218,15 +217,15 @@ def t1(n: int, q: float) -> float:
     a_k carries I(k, q) and J1 a beta factor B(k+q, 2-q); their product is
     (1-q)/(k+1), so each term is H(k, q)/k^2 * (1-q)/(k+1) times the Gauss
     factor of J1.  This form has no pole: at k = 1, q = -1 the term is 1.
+    The n Gauss factors come from one array call of gauss_2f1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
     h = h_moment_table(n, q)
-    return math.fsum(
-        h[k] / k**2 * (1.0 - q) / (k + 1) * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
-        for k in range(1, n + 1)
-    )
+    k = np.arange(1, n + 1, dtype=float)
+    gauss = gauss_2f1(1.0, k + q, k + 2.0, -1.0)
+    return math.fsum((h[1:] / k**2 * (1.0 - q) / (k + 1) * gauss).tolist())
 
 
 def t2(n: int, q: float) -> float:

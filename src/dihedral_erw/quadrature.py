@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy.special import gammaln
 
 from .group import _check_q
@@ -42,6 +43,7 @@ class QuadratureResult:
     value: float
     abs_err_estimate: float
     evaluations: int
+    levels: int  # refinement level at which the result was accepted, 2 at the earliest
 
 
 def _node(t: float):
@@ -110,7 +112,7 @@ def integrate(
     prev = value
     err = math.inf
 
-    for _ in range(1, _MAX_LEVEL + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         prev_err = err
         h *= 0.5
         odd_sum = 0.0
@@ -122,7 +124,7 @@ def integrate(
         err = abs(value - prev)
         prev = value
         if err <= tol and prev_err <= tol:
-            return QuadratureResult(value=value, abs_err_estimate=err, evaluations=evals)
+            return QuadratureResult(value, err, evals, level)
 
     raise QuadratureError(
         f"no convergence to tol={tol} after {_MAX_LEVEL} refinement levels "
@@ -209,30 +211,42 @@ def beta_bound(n: int, q: float) -> float:
     return math.exp(gammaln(n + q + 1.0) + gammaln(1.0 - q) - gammaln(n + 2.0))
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float, tol: float = 1e-15) -> float:
+def gauss_2f1(a: float, b: float | np.ndarray, c: float | np.ndarray, z: float,
+              tol: float = 1e-15) -> float | np.ndarray:
     """Gauss hypergeometric series 2F1(a, b; c; z) for |z| < 1 plus z = -1.
 
     Negative arguments are routed through the Pfaff transformation
     2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)), which maps
     z in [-1, 0) to [1/2, 0) and turns the marginally convergent
     alternating series at z = -1 into a geometrically convergent one.
+
+    b and c may be arrays (broadcast together); the result is then an
+    array, each element equal to the float the scalar call returns.
     """
-    if c <= 0.0 and c == int(c):
+    b, c = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
+    if np.any((c <= 0.0) & (c == np.floor(c))):
         raise ValueError(f"c must not be a nonpositive integer, got {c}")
     if not (-1.0 <= z < 1.0):
         raise ValueError(f"need -1 <= z < 1, got {z}")
     if z < 0.0:
-        return (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, z / (z - 1.0), tol)
-    return _hyp_series(a, b, c, z, tol)
+        out = (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, z / (z - 1.0), tol)
+    else:
+        out = _hyp_series(a, b, c, z, tol)
+    return float(out) if out.ndim == 0 else out
 
 
-def _hyp_series(a: float, b: float, c: float, z: float, tol: float) -> float:
-    total = 1.0
-    term = 1.0
+def _hyp_series(a: float, b: np.ndarray, c: np.ndarray, z: float, tol: float) -> np.ndarray:
+    """Sum the series elementwise; each element stops at its own first small term."""
+    total = np.ones(b.shape)
+    term = np.ones(b.shape)
+    live = np.ones(b.shape, dtype=bool)  # elements still summing
     for n in range(10_000):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= tol * max(1.0, abs(total)):
+        t = term[live] * ((a + n) * (b[live] + n) / ((c[live] + n) * (n + 1.0)) * z)
+        s = total[live] + t
+        term[live], total[live] = t, s
+        # a nan term never counts as small; fmax, like max, passes over a nan total
+        live[live] = ~(np.abs(t) <= tol * np.fmax(1.0, np.abs(s)))
+        if not live.any():
             return total
     raise QuadratureError(f"hypergeometric series did not converge at z={z}")
 

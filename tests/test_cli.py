@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dihedral_erw import cli
 from dihedral_erw.cli import main
 from dihedral_erw.moments import h_moment
 from dihedral_erw.montecarlo import sample_paths
@@ -21,6 +22,7 @@ class TestVariance:
         payload = json.loads(out)
         assert payload["var_Z_infinity"] == 0.0
         assert payload["var_Ztilde_infinity"] == pytest.approx(math.log(2), abs=1e-9)
+        assert payload["levels"] >= 2
 
     def test_exact_n_report(self, capsys):
         code, out, _ = run_cli(capsys, "variance", "--q", "0.5", "--exact-n", "200")
@@ -30,6 +32,16 @@ class TestVariance:
         assert payload["var_Ztilde_exact_n"] == pytest.approx(
             payload["var_Ztilde_infinity"], abs=0.05
         )
+
+    @pytest.mark.parametrize("bad", (("--exact-n", "0"), ("--tol", "0")))
+    def test_arguments_checked_before_quadrature(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(cli, "var_ztilde_infinity_result",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["variance", "--q", "0.5", *bad])
+        assert exc.value.code == 2
+        assert calls == []
 
     def test_full_memory_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,7 @@ from dihedral_erw.moments import (
     t2,
     var_ztilde_exact,
 )
+from dihedral_erw.quadrature import gauss_2f1
 
 Q_GRID = (-1.0, -0.5, 0.0, 0.3, 0.5, 0.8)
 
@@ -54,10 +55,30 @@ class TestH:
             h_moment(3, 1.0)
 
     def test_table_matches_scalar(self):
+        # k = 3 ends the one-step part; blocks of 4096 start at k = 3, 4099, 8195
         for q in Q_GRID:
-            tab = h_moment_table(50, q)
-            for k in (1, 2, 7, 50):
+            tab = h_moment_table(8200, q)
+            for k in (1, 2, 3, 4, 7, 50, 4098, 4099, 4100, 8195, 8200):
                 assert tab[k] == h_moment(k, q)
+        tab = h_moment_table(8200, 0.0)
+        assert all(tab[k] == float(k) for k in (3, 4, 4098, 4099, 4100, 8195, 8200))
+
+    def test_against_40_digit_closed_form(self):
+        # the gamma-ratio form (k * harmonic number at q = 1/2) in mpmath at
+        # pole-free q; a one-step float recursion was 4e-12 off at q = -0.9
+        mpmath = pytest.importorskip("mpmath")
+        ks = (4, 4099, 100_000, 1_000_000)
+        with mpmath.workdps(40):
+            for q in (-0.9, -0.6, -0.2, 0.3, 0.5, 0.7, 0.95):
+                tab = h_moment_table(ks[-1], q)
+                mq = mpmath.mpf(q)
+                for k in ks:
+                    if q == 0.5:
+                        want = k * mpmath.harmonic(k)
+                    else:
+                        ratio = mpmath.gammaprod([k + 2 * mq], [k + 1, 2 * mq])
+                        want = k / (2 * mq - 1) * (ratio - 1)
+                    assert tab[k] == pytest.approx(float(want), rel=2e-13), (q, k)
 
     def test_closed_form_cross_check(self):
         # agreement to 1e-10 relative wherever the gamma form is pole-free
@@ -139,6 +160,17 @@ class TestT1T2:
         for n in (1, 4, 25):
             lhs = var_ztilde_exact(n, q)
             assert t1(n, q) + 2 * t2(n, q) == pytest.approx(lhs, abs=1e-10)
+
+    @pytest.mark.parametrize("n, qs", ((10, Q_GRID), (5000, (-0.5, 0.8))))
+    def test_t1_equals_termwise_fsum(self, n, qs):
+        # one array call of gauss_2f1 gives the same terms as a scalar call per k
+        for q in qs:
+            h = h_moment_table(n, q)
+            want = math.fsum(
+                h[k] / k**2 * (1.0 - q) / (k + 1) * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
+                for k in range(1, n + 1)
+            )
+            assert t1(n, q) == want
 
     def test_single_term_sums_to_one(self):
         for q in Q_GRID:

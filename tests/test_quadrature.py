@@ -17,6 +17,7 @@ from dihedral_erw.quadrature import (
     phi_integrand,
     var_z_infinity,
     var_ztilde_infinity,
+    var_ztilde_infinity_result,
 )
 
 
@@ -41,6 +42,14 @@ class TestIntegrate:
     def test_non_finite_integrand_is_loud(self):
         with pytest.raises(QuadratureError):
             integrate(lambda u, um1: float("nan"), tol=1e-10)
+
+    def test_reports_acceptance_level(self):
+        # two level differences within tol are needed, so level 2 is the
+        # earliest; at tol 1e-10 the level differences of a constant are
+        # 1.6e-2, 3.4e-6, 3.7e-14 and 1e-16, so it is accepted at level 4
+        assert integrate(lambda u, um1: 1.0, tol=0.1).levels == 2
+        assert integrate(lambda u, um1: 1.0, tol=1e-10).levels == 4
+        assert var_ztilde_infinity_result(0.5).levels >= 2
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -231,9 +240,30 @@ class TestGauss2F1:
                 pref * res.value, abs=1e-10
             )
 
+    def test_array_arguments_match_scalar_calls(self):
+        # the J1 Gauss factors of t1: each element stops where its scalar series does
+        k = np.arange(1, 5001)
+        for q in (-1.0, 0.3):
+            got = gauss_2f1(1.0, k + q, k + 2.0, -1.0)
+            assert got.shape == k.shape
+            want = [gauss_2f1(1.0, kk + q, kk + 2.0, -1.0) for kk in range(1, 5001)]
+            assert got.tolist() == want
+        grid = gauss_2f1(1.0, np.array([[1.0], [2.0]]), np.array([3.0, 4.0, 5.0]), 0.5)
+        assert grid.shape == (2, 3)
+        assert grid[1, 2] == gauss_2f1(1.0, 2.0, 5.0, 0.5)
+
+    def test_non_convergence_raises(self):
+        # near z = 1 the first element needs far more than 10,000 terms, the second few
+        with pytest.raises(QuadratureError):
+            gauss_2f1(1.0, 1.0, 2.0, 0.999)
+        with pytest.raises(QuadratureError):
+            gauss_2f1(1.0, np.array([1.0, 1.0]), np.array([2.0, 30.0]), 0.999)
+
     def test_domains(self):
         with pytest.raises(ValueError):
             gauss_2f1(0.5, 1.0, -2.0, 0.5)
+        with pytest.raises(ValueError):
+            gauss_2f1(0.5, np.array([1.0, 1.0]), np.array([2.5, -2.0]), 0.5)
         with pytest.raises(ValueError):
             gauss_2f1(0.5, 1.0, 2.0, 1.0)
         with pytest.raises(ValueError):
