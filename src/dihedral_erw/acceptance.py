@@ -197,8 +197,7 @@ def criterion_8_lil() -> CriterionResult:
     Per-path running maxima of +-S_k / sqrt(2k lnln k) spread widely
     (observed 0.07 to 2.5 over 50 paths), so the band [0.5, 1.5] is applied
     to the ensemble mean of the envelope statistic for each sign, which
-    concentrates near the almost-sure limit 1; an upward trend past 1.5
-    between n=1e5 and n=1e6 also fails the check.
+    concentrates near the almost-sure limit 1.
     """
 
     def run():
@@ -209,11 +208,6 @@ def criterion_8_lil() -> CriterionResult:
             mean_pos = float(big.lil_pos.mean())
             mean_neg = float(big.lil_neg.mean())
             ok &= 0.5 <= mean_pos <= 1.5 and 0.5 <= mean_neg <= 1.5
-            # the running max only grows with the horizon on the same
-            # streams, so this amounts to "has not pushed past 1.5"
-            small = sample_paths(q, 100_000, 50, MASTER_SEED, collect=("lil",))
-            ok &= mean_pos <= max(float(small.lil_pos.mean()), 1.5)
-            ok &= mean_neg <= max(float(small.lil_neg.mean()), 1.5)
             msgs.append(f"q={q:+.1f}: mean+={mean_pos:.3f} mean-={mean_neg:.3f}")
         return ok, "; ".join(msgs)
 

@@ -6,10 +6,12 @@ conditional-variance recursion
     H(1) = 1,  H(k+1) = (1 + 2q/k) H(k) + 1,
 
 which is taken as the defining computation (h_moment_table solves it in
-blocks of k by cumulative products and sums): the gamma-ratio closed form
-needs a 1/Gamma(0) = 1/Gamma(-1) = 0 convention at q in {0, -1/2} and has
-an unhandled pole at q = -1, so it serves only as a cross-check where its
-arguments stay clear of poles.
+blocks of k by cumulative products and sums).  The closed form
+H = k/(2q - 1) ((2q)_k/k! - 1) costs O(k) per value and needs a separate
+limit at q = 1/2, so it serves only as a cross-check.  Gamma functions
+enter only as ratios at integer-spaced arguments, formed as running
+products; the one gamma value, the anchor of i_factor_table, comes from
+math.lgamma.
 
 enumerate_exact is the independent oracle for all of these: W is a Markov
 chain on the a-count and S, Ztilde are additive functionals of its path,
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .coupling import encode_increment, exhaustive_coupling_check
 from .group import MemoryParams, _check_q, step_prob_a
@@ -68,30 +69,21 @@ def h_moment_table(n: int, q: float) -> np.ndarray:
 
 
 def h_closed_form(k: int, q: float) -> float:
-    """Gamma-ratio closed form for H(k, q); cross-check only.
+    """Closed form k/(2q - 1) ((2q)_k/k! - 1) for H(k, q); cross-check only.
 
-    Returns k * (harmonic sum) at q = 1/2.  At q in {0, -1/2} the
-    1/Gamma(0) = 1/Gamma(-1) = 0 convention collapses the formula to
-    k/(1 - 2q).  q = -1 would need a value for 1/Gamma(-2) that the
-    convention does not cover, so it is rejected; use h_moment there.
+    (2q)_k/k! is the running product of (2q + j)/(j + 1), j = 0..k-1, so it
+    is exact where a factor vanishes (q in {0, -1/2, -1}).  At q = 1/2 the
+    formula is 0/0 and its limit, k times the harmonic sum, is returned.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     q = _check_q(q)
     if q == 0.5:
         return k * sum(1.0 / j for j in range(1, k + 1))
-    if q in (0.0, -0.5):
-        if q == -0.5 and k == 1:
-            # Gamma(k + 2q) = Gamma(0) collides with the Gamma(2q) pole;
-            # the 1/Gamma = 0 convention does not apply to a pole ratio
-            raise ValueError("closed form has a pole collision at k=1, q=-1/2")
-        return k / (1.0 - 2.0 * q)
-    if q == -1.0:
-        raise ValueError("closed form undefined at q = -1; the recursion is definitive")
     two_q = 2.0 * q
-    ratio = gammasgn(k + two_q) * gammasgn(two_q) * math.exp(
-        gammaln(k + two_q) - gammaln(k + 1) - gammaln(two_q)
-    )
+    ratio = 1.0
+    for j in range(k):
+        ratio *= (two_q + j) / (j + 1)
     return k / (two_q - 1.0) * (ratio - 1.0)
 
 
@@ -99,7 +91,7 @@ def i_factor(k: int, q: float) -> float:
     """Normaliser I(k, q) = Gamma(k+1) / (Gamma(k+q) Gamma(1-q)).
 
     At k + q = 0 (only k = 1, q = -1) the gamma in the denominator has a
-    pole and the limiting value of I is 0.
+    pole and I is 0.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -107,21 +99,27 @@ def i_factor(k: int, q: float) -> float:
 
 
 def i_factor_table(n: int, q: float) -> np.ndarray:
-    """I(k, q) for k = 1..n (index 0 is nan)."""
+    """I(k, q) for k = 1..n (index 0 is nan), as a running product.
+
+    I(k+1) = I(k) (k+1)/(k+q), anchored at I(2) = 2/(Gamma(2+q) Gamma(1-q)),
+    whose gammas have no pole for q in [-1, 1).  I(1) = I(2) (1+q)/2 is then
+    exactly 0 at q = -1.  The product keeps I within 1e-11 of the 40-digit
+    value for k <= 1e5; exp of a log-gamma difference was 1.5e-10 off there.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
-    k = np.arange(1, n + 1, dtype=float)
-    if q == 0.0:
-        vals = k.copy()  # Gamma(k+1)/Gamma(k), exactly
-    else:
-        with np.errstate(divide="ignore"):
-            vals = np.exp(gammaln(k + 1) - gammaln(k + q) - gammaln(1.0 - q))
-        if q == -1.0:
-            vals[0] = 0.0
     out = np.empty(n + 1)
     out[0] = np.nan
-    out[1:] = vals
+    if q == 0.0:
+        out[1:] = np.arange(1, n + 1)  # Gamma(k+1)/Gamma(k), exactly
+        return out
+    i2 = 2.0 * math.exp(-math.lgamma(2.0 + q) - math.lgamma(1.0 - q))
+    out[1] = i2 * (1.0 + q) / 2.0
+    if n >= 2:
+        k = np.arange(2, n, dtype=float)
+        out[2] = i2
+        out[3:] = i2 * np.cumprod((k + 1.0) / (k + q))
     return out
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .moments import t2
 
@@ -354,16 +353,14 @@ class KSResult:
     threshold: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "threshold": self.threshold, "pass": self.passed}
-
 
 def ks_normal_test(samples, alpha: float = 0.01) -> KSResult:
     """Two-sided Kolmogorov-Smirnov test against the standard normal.
 
     Uses the asymptotic critical value c(alpha)/sqrt(R); small samples
     (R < 100) are refused because the asymptotic constant is not valid
-    there and the exact table is out of scope.
+    there and the exact table is out of scope.  The normal CDF is
+    erfc(-x/sqrt(2))/2, by math.erfc element by element.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
@@ -373,7 +370,7 @@ def ks_normal_test(samples, alpha: float = 0.01) -> KSResult:
     if alpha not in KS_CRITICAL:
         raise ValueError(f"alpha must be one of {sorted(KS_CRITICAL)}")
     r = x.size
-    cdf = ndtr(x)
+    cdf = 0.5 * np.fromiter(map(math.erfc, (-x / math.sqrt(2.0)).tolist()), float, r)
     i = np.arange(1, r + 1)
     d_plus = np.max(i / r - cdf)
     d_minus = np.max(cdf - (i - 1) / r)
@@ -399,15 +396,6 @@ class SlopeFit:
     theoretical_slope: float
     residual: float
     dropped: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "fitted_slope": self.fitted_slope,
-            "intercept": self.intercept,
-            "theoretical_slope": self.theoretical_slope,
-            "residual": self.residual,
-            "dropped": list(self.dropped),
-        }
 
 
 def t2_rate_fit(q: float, n_list: Sequence[int]) -> SlopeFit:

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .group import _check_q
 
 DEFAULT_TOL = 1e-10
-MAX_EVALUATIONS = 2_000_000
 _T_MAX = 6.0  # exp(pi*sinh(6)) stays inside double range
 _MAX_LEVEL = 12
 
@@ -67,11 +65,7 @@ def _node(t: float):
     return u, um1, w
 
 
-def integrate(
-    f: Callable[[float, float], float],
-    tol: float = DEFAULT_TOL,
-    max_evals: int = MAX_EVALUATIONS,
-) -> QuadratureResult:
+def integrate(f: Callable[[float, float], float], tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Integrate f over (0, 1) with tanh-sinh level refinement.
 
     The integrand is called as f(u, one_minus_u) and is never evaluated at
@@ -79,8 +73,10 @@ def integrate(
     reuse previous nodes; the error estimate is the difference between the
     last two levels.  A level is accepted only once two consecutive level
     differences are both within tol, so two coarse levels that miss the
-    same narrow peak cannot end the refinement.  Failure to converge
-    raises, it is never silent.
+    same narrow peak cannot end the refinement.  Failure to converge within
+    _MAX_LEVEL levels (49,153 evaluations) raises, it is never silent.
+    Nodes stop at |t| = _T_MAX, where u, 1-u and the weight (about 4e-273)
+    are still positive.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -90,13 +86,7 @@ def integrate(
     def call(t: float) -> float:
         nonlocal evals
         u, um1, w = _node(t)
-        if w == 0.0 or u <= 0.0 or um1 <= 0.0:
-            return 0.0
         evals += 1
-        if evals > max_evals:
-            raise QuadratureError(
-                f"evaluation budget {max_evals} exhausted before tolerance {tol}"
-            )
         val = w * f(u, um1)
         if math.isnan(val) or math.isinf(val):
             raise QuadratureError(f"integrand not finite at u={u!r}")
@@ -181,14 +171,15 @@ def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
 def j1(k: int, q: float) -> float:
     """Integral of u^(k+q-1) (1-u)^(1-q) / (1+u) over (0, 1).
 
-    Closed form B(k+q, 2-q) * 2F1(1, k+q; k+2; -1), by DLMF 15.6.1.
+    Closed form B(k+q, 2-q) * 2F1(1, k+q; k+2; -1), by DLMF 15.6.1, with
+    the beta function from math.lgamma.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     q = _check_q(q)
     if k + q <= 0.0:
         raise ValueError(f"need k + q > 0, got k={k}, q={q}")
-    beta = math.exp(gammaln(k + q) + gammaln(2.0 - q) - gammaln(k + 2.0))
+    beta = math.exp(math.lgamma(k + q) + math.lgamma(2.0 - q) - math.lgamma(k + 2.0))
     return beta * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
 
 
@@ -208,7 +199,7 @@ def j2(n: int, q: float) -> float:
 
 def beta_bound(n: int, q: float) -> float:
     """B(n+q+1, 1-q) via log-gamma: the envelope of J2."""
-    return math.exp(gammaln(n + q + 1.0) + gammaln(1.0 - q) - gammaln(n + 2.0))
+    return math.exp(math.lgamma(n + q + 1.0) + math.lgamma(1.0 - q) - math.lgamma(n + 2.0))
 
 
 def gauss_2f1(a: float, b: float | np.ndarray, c: float | np.ndarray, z: float,

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dihedral_erw
 from dihedral_erw import cli
 from dihedral_erw.cli import main
 from dihedral_erw.moments import h_moment
@@ -185,3 +190,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["variance", "--q", "0", "--tol", "-1"])
         assert exc.value.code == 2
+
+
+class TestImports:
+    # the package needs numpy and the standard library only
+    @pytest.mark.parametrize("code", [
+        "import dihedral_erw",
+        "import runpy, sys\n"
+        "sys.argv = ['dihedral_erw', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('dihedral_erw', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass",
+    ], ids=["import", "help"])
+    def test_no_scipy_loaded(self, code):
+        probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = str(Path(dihedral_erw.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -16,6 +16,7 @@ from dihedral_erw.moments import (
     h_moment,
     h_moment_table,
     i_factor,
+    i_factor_table,
     r_norm,
     t1,
     t2,
@@ -81,17 +82,17 @@ class TestH:
                     assert tab[k] == pytest.approx(float(want), rel=2e-13), (q, k)
 
     def test_closed_form_cross_check(self):
-        # agreement to 1e-10 relative wherever the gamma form is pole-free
-        for q in (-0.9, -0.6, -0.3, 0.0, 0.3, 0.5, 0.8):
+        # agreement to 1e-10 relative, including q where Pochhammer factors vanish
+        for q in (-1.0, -0.9, -0.6, -0.5, -0.3, 0.0, 0.3, 0.5, 0.8):
             for k in (1, 2, 3, 10, 97, 500):
                 rec = h_moment(k, q)
                 assert h_closed_form(k, q) == pytest.approx(rec, rel=1e-10)
 
     def test_closed_form_pole_handling(self):
-        with pytest.raises(ValueError):
-            h_closed_form(1, -0.5)
-        with pytest.raises(ValueError):
-            h_closed_form(4, -1.0)
+        # where the gamma-ratio form meets poles, the running product is exact
+        assert h_closed_form(1, -0.5) == 1.0
+        for k in range(1, 501):
+            assert h_closed_form(k, -1.0) == pytest.approx(h_moment(k, -1.0), rel=1e-13, abs=0.0)
 
 
 class TestIFactor:
@@ -107,6 +108,17 @@ class TestIFactor:
 
     def test_pole_convention(self):
         assert i_factor(1, -1.0) == 0.0
+
+    def test_against_40_digit_gamma_ratio(self):
+        # exp of a log-gamma difference misses rel 1e-11 (1.5e-10 at k = 1e5)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for q in (-1.0, -0.9, -0.5, 0.3, 0.8):
+                tab = i_factor_table(100_000, q)
+                mq = mpmath.mpf(q)
+                for k in (1, 2, 3, 4097, 100_000):
+                    want = mpmath.gammaprod([k + 1], [k + mq, 1 - mq])
+                    assert tab[k] == pytest.approx(float(want), rel=1e-11), (q, k)
 
     def test_positive(self):
         for q in Q_GRID:

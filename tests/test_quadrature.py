@@ -35,9 +35,10 @@ class TestIntegrate:
         res = integrate(lambda u, um1: -math.log(u), tol=1e-10)
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
-    def test_budget_failure_is_loud(self):
-        with pytest.raises(QuadratureError):
-            integrate(lambda u, um1: 1.0, tol=1e-10, max_evals=5)
+    def test_level_cap_failure_is_loud(self):
+        # 12 levels cannot resolve 1.6e4 periods: a difference of 1.3e-4 remains
+        with pytest.raises(QuadratureError, match="12 refinement levels"):
+            integrate(lambda u, um1: math.cos(1e5 * u))
 
     def test_non_finite_integrand_is_loud(self):
         with pytest.raises(QuadratureError):
@@ -223,15 +224,13 @@ class TestGauss2F1:
         # t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a); valid for c > b > 0.  The
         # J1 (b = k+q) and J2 (b = k+q+1) triples at z = -1 and small k
         # cross-check the closed forms j1 and j2 by quadrature
-        from scipy.special import gammaln
-
         cases = [(a, b, c, z)
                  for a, b, c in ((0.4, 0.7, 1.9), (1.0, 1.0, 2.0), (2.2, 0.5, 2.7))
                  for z in (-1.0, -0.4, 0.0, 0.35, 0.8)]
         cases += [(1.0, k + q + shift, k + 2.0, -1.0)
                   for k in (1, 2, 5) for q in (-0.5, 0.3, 0.8) for shift in (0.0, 1.0)]
         for a, b, c, z in cases:
-            pref = math.exp(gammaln(c) - gammaln(b) - gammaln(c - b))
+            pref = math.exp(math.lgamma(c) - math.lgamma(b) - math.lgamma(c - b))
             res = integrate(
                 lambda u, um1: u ** (b - 1) * um1 ** (c - b - 1) * (1 - z * u) ** (-a),
                 tol=1e-12,
