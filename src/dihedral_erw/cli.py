@@ -59,28 +59,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="simulate one path")
+    sp.set_defaults(run=_cmd_simulate)
     _add_memory_args(sp)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trace", metavar="OUT.CSV", help="write the full coupled trace")
 
     sp = sub.add_parser("enumerate", help="exact moments over all paths of a horizon")
+    sp.set_defaults(run=_cmd_enumerate)
     _add_memory_args(sp)
     sp.add_argument("--n", type=int, required=True,
                     help="horizon, at least 1; cost grows like n^2")
 
     sp = sub.add_parser("moments", help="H, I and a_k table as CSV")
+    sp.set_defaults(run=_cmd_moments)
     _add_memory_args(sp)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--out", metavar="OUT.CSV")
 
     sp = sub.add_parser("variance", help="limiting variances by quadrature")
+    sp.set_defaults(run=_cmd_variance)
     _add_memory_args(sp)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--exact-n", type=int,
                     help="also report the truncated exact sum at this horizon")
 
     sp = sub.add_parser("figure", help="limit-variance curve over a q grid (CSV)")
+    sp.set_defaults(run=_cmd_figure)
     sp.add_argument("--q-min", type=float, required=True)
     sp.add_argument("--q-max", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
@@ -88,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", metavar="OUT.CSV")
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
+    sp.set_defaults(run=_cmd_verify)
     sp.add_argument("--quick", action="store_true",
                     help="enumeration and identity checks only")
 
@@ -99,29 +105,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        return _dispatch(parser, args)
+        return args.run(parser, args)
     except QuadratureError as exc:
         print(json.dumps({"error": {"kind": "quadrature", "message": str(exc)}}))
         return 1
     except ValueError as exc:
         print(json.dumps({"error": {"kind": "value", "message": str(exc)}}))
         return 1
-
-
-def _dispatch(parser, args) -> int:
-    if args.command == "simulate":
-        return _cmd_simulate(parser, args)
-    if args.command == "enumerate":
-        return _cmd_enumerate(parser, args)
-    if args.command == "moments":
-        return _cmd_moments(parser, args)
-    if args.command == "variance":
-        return _cmd_variance(parser, args)
-    if args.command == "figure":
-        return _cmd_figure(parser, args)
-    if args.command == "verify":
-        return _cmd_verify(parser, args)
-    parser.error(f"unknown command {args.command!r}")
 
 
 def _cmd_simulate(parser, args) -> int:

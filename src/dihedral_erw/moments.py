@@ -6,7 +6,8 @@ conditional-variance recursion
     H(1) = 1,  H(k+1) = (1 + 2q/k) H(k) + 1,
 
 which is taken as the defining computation (h_moment_table solves it in
-blocks of k by cumulative products and sums).  The closed form
+blocks of k by cumulative products and sums; var_ztilde_exact solves the
+recursion for G_k = E[Ztilde_k W_k] the same way).  The closed form
 H = k/(2q - 1) ((2q)_k/k! - 1) costs O(k) per value and needs a separate
 limit at q = 1/2, so it serves only as a cross-check.  Gamma functions
 enter only as ratios at integer-spaced arguments, formed as running
@@ -40,20 +41,28 @@ def h_moment(k: int, q: float) -> float:
     return float(h_moment_table(k, q)[k])
 
 
+_BLOCK = 4096
+
+
+def _solve_block(a: np.ndarray, b, x0: float) -> np.ndarray:
+    """x_1..x_L of x_j = a_j x_(j-1) + b_j from x_0 = x0, all a_j > 0, at once.
+
+    x_j = Q_j (x0 + sum_{m<=j} b_m/Q_m) with Q_j = a_1 ... a_j.  Rounding in
+    Q_j grows with the block length: one product over all of k <= 1e6 put H
+    6.5e-13 off at q = 1/2, blocks of _BLOCK = 4096 stay within 1e-13 of the
+    40-digit value.
+    """
+    prod = np.cumprod(a)
+    return prod * (x0 + np.cumsum(b / prod))
+
+
 def h_moment_table(n: int, q: float) -> np.ndarray:
     """Array of H(k, q) for k = 1..n (index 0 unused, set to nan).
 
     H(k+1) = a_k H(k) + 1 with a_k = 1 + 2q/k.  a_1 = 1 + 2q and a_2 = 1 + q
     can be zero or negative, so H(2) and H(3) come one step at a time.  From
-    k = 3 on every a_k is positive, and each block of 4096 steps from a known
-    H(k0) is solved at once: with Q_j = a_k0 ... a_(k0+j-1),
-
-        H(k0 + j) = Q_j (H(k0) + sum_{m=1}^{j} 1/Q_m).
-
-    Rounding in Q_j grows with the block length: one product over all of
-    k <= 1e6 was 6.5e-13 off at q = 1/2, blocks of 4096 stay within 1e-13
-    of the 40-digit value.  The block edges are fixed in k, so H(k) does
-    not depend on n.
+    k = 3 on every a_k is positive, and _solve_block takes blocks of _BLOCK
+    steps whose edges are fixed in k, so H(k) does not depend on n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -62,9 +71,9 @@ def h_moment_table(n: int, q: float) -> np.ndarray:
     out[0], out[1] = np.nan, 1.0
     for k in range(1, min(n, 3)):
         out[k + 1] = (1.0 + (2.0 * q) / k) * out[k] + 1.0
-    for k0 in range(3, n, 4096):
-        prod = np.cumprod(1.0 + (2.0 * q) / np.arange(k0, min(n, k0 + 4096), dtype=float))
-        out[k0 + 1:k0 + 1 + len(prod)] = prod * (out[k0] + np.cumsum(1.0 / prod))
+    for k0 in range(3, n, _BLOCK):
+        a = 1.0 + (2.0 * q) / np.arange(k0, min(n, k0 + _BLOCK), dtype=float)
+        out[k0 + 1:k0 + 1 + len(a)] = _solve_block(a, 1.0, out[k0])
     return out
 
 
@@ -153,47 +162,45 @@ def cov_w(k: int, l: int, q: float) -> float:
 def var_ztilde_exact(n: int, q: float) -> float:
     """E[Ztilde_{n+1}^2] for the alternating series Ztilde of W_k/k.
 
-    Mathematically this is
+    Ztilde_{k+1} = Ztilde_k + (-1)^k W_k/k (as in coupling.advance) and
+    E[W_{k+1} | F_k] = (1 + q/k) W_k, so G_k = E[Ztilde_k W_k] obeys G_1 = 0,
+    G_{k+1} = (1 + q/k) (G_k + (-1)^k H_k/k), with H_k = H(k, q), and the
+    value is sum_{k<=n} t_k, t_k = H_k/k^2 + 2 (-1)^k G_k/k.  The halves of
+    t_k cancel to one part in 4e4 (n = 1e6, q = 0.8), so the t_k are summed
+    in pairs that end at k + 1 = n, which the recursions of H and G reduce to
 
-        sum_{k=1}^{n} (H(k,q)/k^2) (1 + 2 sum_{l=1}^{n-k} (-1)^l (k+q)_l/(k+1)_l),
+        t_k + t_{k+1} = 2 (-1)^k (1-q) G_k/(k (k+1)) + ((1-2q) H_k/k^2 + 1)/(k+1)^2,
 
-    with all Pochhammer ratios built by running products.  The double sum
-    is evaluated in a separable O(n) form: the cross terms factor through
-    cumulative products e_l of (1 + q/i), so one cumulative-product and one
-    prefix-sum pass suffice.  The k = 1 column is split off because its
-    leading factor (1 + q) vanishes at q = -1.
+    beside t_1 = 1 (odd n) or t_1 + t_2 = (1 - q)/2 (even n).  G is solved
+    in blocks from G_2 = -(1 + q), since a_1 = 1 + q vanishes at q = -1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
-    h = h_moment_table(n, q)  # h[k] = H(k, q)
-    k = np.arange(0, n + 1, dtype=float)
-    k[0] = np.nan
-
-    base = float(np.sum(h[1:] / k[1:] ** 2))
-    if n == 1:
-        return base
-
-    # e[l] = prod_{i=2}^{l-1} (1 + q/i) for l = 2..n
-    e = np.empty(n + 1)
-    e[:2] = np.nan
-    e[2] = 1.0
-    e[3:] = np.cumprod(1.0 + q / k[2:n])
-    sign = np.ones(n + 1)  # (-1)^l
-    sign[1::2] = -1.0
-
-    # k = 1 against every later l: ratio (1+q)_l/(1+1)_l telescopes to (1+q) e_l
-    cross1 = float(np.sum(sign[2:] * -1.0 / k[2:] * (1.0 + q) * e[2:] * h[1]))
-
-    # u_k = (-1)^k H_k / (k e_k), prefix-summed over k = 2..l-1
-    prefix = np.cumsum(sign[2:-1] * h[2:-1] / (k[2:-1] * e[2:-1]))
-    cross2 = float(np.sum(sign[3:] * e[3:] / k[3:] * prefix))
-
-    return base + 2.0 * (cross1 + cross2)
+    h = h_moment_table(n, q)
+    odd = n % 2
+    sign = 1.0 if odd else -1.0  # (-1)^k at every pair's first k
+    sums, g = [1.0 if odd else (1.0 - q) / 2.0], -(1.0 + q)  # g = G_2
+    for k0 in range(2, n, _BLOCK):  # k0 even
+        k = np.arange(k0, min(n, k0 + _BLOCK), dtype=float)
+        a, hk = 1.0 + q / k, h[k0:k0 + len(k)]
+        b = a * (hk / k)
+        b[1::2] *= -1.0  # (-1)^k; sign flips are exact
+        gk = np.concatenate(([g], _solve_block(a, b, g)))  # G_k0 .. G_(k0+len)
+        g = gk[-1]
+        first = slice(1 - odd, None, 2)  # k = n - 1, n - 3, ...
+        kp, hp, gp = k[first], hk[first], gk[:-1][first]
+        pairs = (sign * 2.0 * (1.0 - q) * gp / (kp * (kp + 1.0))
+                 + ((1.0 - 2.0 * q) * hp / kp**2 + 1.0) / (kp + 1.0) ** 2)
+        sums.append(float(np.sum(pairs)))
+    return math.fsum(sums)
 
 
 def _var_ztilde_double_sum(n: int, q: float) -> float:
-    """Direct O(n^2) evaluation of the same double sum; small-n oracle."""
+    """E[Ztilde_{n+1}^2] as the double sum, in O(n^2); small-n oracle:
+
+        sum_{k=1}^{n} (H(k,q)/k^2) (1 + 2 sum_{l=1}^{n-k} (-1)^l (k+q)_l/(k+1)_l)
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
@@ -241,7 +248,7 @@ def t2(n: int, q: float) -> float:
 
 
 def r_norm(n: float, p: float) -> float:
-    """Scale of |W_n|: sqrt(n) below p = 3/4, sqrt(n/log n) at it, n^(2(1-p)) above."""
+    """Scale of |W_n|: sqrt(n) below p = 3/4, sqrt(n/log n) at it (n > 1), n^(2(1-p)) above."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 <= p < 1.0:
@@ -249,6 +256,8 @@ def r_norm(n: float, p: float) -> float:
     if p < 0.75:
         return math.sqrt(n)
     if p == 0.75:
+        if n <= 1:
+            raise ValueError("at p = 3/4, n must exceed 1")
         return math.sqrt(n / math.log(n))
     return n ** (2.0 * (1.0 - p))
 
@@ -265,10 +274,10 @@ class MomentTable:
 
     @classmethod
     def build(cls, n: int, q: float) -> "MomentTable":
-        h = h_moment_table(n, q)
-        i = i_factor_table(n, q)
-        a = a_factor_table(n, q)
-        return cls(q=float(q), k=np.arange(1, n + 1), H=h[1:], I=i[1:], a=a[1:])
+        h = h_moment_table(n, q)[1:]
+        i = i_factor_table(n, q)[1:]
+        k = np.arange(1, n + 1)
+        return cls(q=float(q), k=k, H=h, I=i, a=h * i / k.astype(float) ** 2)
 
     def csv_lines(self):
         yield "k,H,I,a_k"

@@ -1,3 +1,4 @@
+import decimal
 import math
 from itertools import product
 
@@ -146,6 +147,23 @@ class TestCovW:
             assert res.cov_w_pairs[pair] == pytest.approx(cov_w(*pair, q), abs=1e-12)
 
 
+def _var_ztilde_decimal(n, q, horizons):
+    """E[Ztilde_{m+1}^2] for m in horizons by the H and G recursions in 30-digit decimals."""
+    out = {}
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        dq = decimal.Decimal(q)
+        h, g, total = decimal.Decimal(1), decimal.Decimal(0), decimal.Decimal(0)
+        for k in range(1, n + 1):
+            sign = 1 if k % 2 == 0 else -1
+            total += h / (k * k) + 2 * sign * g / k
+            if k in horizons:
+                out[k] = float(total)
+            g = (1 + dq / k) * (g + sign * h / k)
+            h = (1 + 2 * dq / k) * h + 1
+    return out
+
+
 class TestVarZtildeExact:
     def test_one_step(self):
         for q in Q_GRID:
@@ -159,11 +177,19 @@ class TestVarZtildeExact:
         assert var_ztilde_exact(2, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("q", Q_GRID)
-    def test_separable_equals_direct_double_sum(self, q):
+    def test_recursion_equals_direct_double_sum(self, q):
         for n in (3, 17, 137, 400):
             assert var_ztilde_exact(n, q) == pytest.approx(
                 _var_ztilde_double_sum(n, q), abs=1e-11
             )
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_block_edges_against_30_digit_recursion(self, q):
+        # G blocks start at k = 2, 4098, 8194, ...; H blocks at k = 3, 4099, 8195, ...
+        horizons = (2, 3, 4097, 4098, 8193, 20000)
+        want = _var_ztilde_decimal(max(horizons), q, horizons)
+        for n in horizons:
+            assert var_ztilde_exact(n, q) == pytest.approx(want[n], rel=1e-13, abs=0.0), n
 
 
 class TestT1T2:
@@ -219,6 +245,12 @@ class TestRNorm:
             r_norm(10, 1.0)
         with pytest.raises(ValueError):
             r_norm(0.5, 0.5)
+
+    def test_critical_needs_positive_log(self):
+        # log 1 = 0, so at p = 3/4 the scale needs n > 1; below p = 3/4, n = 1 is fine
+        with pytest.raises(ValueError, match="3/4"):
+            r_norm(1, 0.75)
+        assert r_norm(1, 0.5) == 1.0
 
 
 class TestEnumeration:
