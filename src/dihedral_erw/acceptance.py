@@ -60,7 +60,7 @@ def criterion_1_coupling() -> CriterionResult:
 
 
 def criterion_2_moment_oracle() -> CriterionResult:
-    """Enumerated moments match the closed recursion and the double sum."""
+    """Enumerated moments match the recursions for H and for E[Ztilde^2]."""
 
     def run():
         worst_w = worst_z = worst_p = 0.0
@@ -73,14 +73,14 @@ def criterion_2_moment_oracle() -> CriterionResult:
                 worst_w = max(worst_w, abs(res.e_w2_by_step[k] - h_moment(k, q)))
                 worst_z = max(worst_z, abs(res.e_ztilde2_by_step[k] - var_ztilde_exact(k, q)))
         ok = coupling and worst_w <= 1e-10 and worst_z <= 1e-10 and worst_p <= 1e-12
-        return ok, (f"max |E W^2 - H| = {worst_w:.2e}, max |E Zt^2 - double sum| = "
+        return ok, (f"max |E W^2 - H| = {worst_w:.2e}, max |E Zt^2 - recursion| = "
                     f"{worst_z:.2e}, max |prob - 1| = {worst_p:.2e}")
 
     return _timed(2, "moment oracle n<=14", run)
 
 
 def criterion_3_t1_t2_identity() -> CriterionResult:
-    """Double sum equals T1 + 2 T2 on the full grid."""
+    """The recursion for E[Ztilde^2] equals T1 + 2 T2 on the full grid."""
 
     def run():
         worst = 0.0

@@ -10,9 +10,10 @@ blocks of k by cumulative products and sums; var_ztilde_exact solves the
 recursion for G_k = E[Ztilde_k W_k] the same way).  The closed form
 H = k/(2q - 1) ((2q)_k/k! - 1) costs O(k) per value and needs a separate
 limit at q = 1/2, so it serves only as a cross-check.  Gamma functions
-enter only as ratios at integer-spaced arguments, formed as running
-products; the one gamma value, the anchor of i_factor_table, comes from
-math.lgamma.
+enter only as ratios at integer-spaced arguments, all of them values of
+I(k, q) from i_factor_table's running product (the beta prefactors of J1
+and J2, cov_w's Pochhammer ratio); the one gamma value, that product's
+anchor, comes from math.lgamma.
 
 enumerate_exact is the independent oracle for all of these: W is a Markov
 chain on the a-count and S, Ztilde are additive functionals of its path,
@@ -132,30 +133,21 @@ def i_factor_table(n: int, q: float) -> np.ndarray:
     return out
 
 
-def a_factor_table(n: int, q: float) -> np.ndarray:
-    """a_k = H(k, q) I(k, q) / k^2 for k = 1..n (index 0 is nan)."""
-    h = h_moment_table(n, q)
-    i = i_factor_table(n, q)
-    k = np.arange(0, n + 1, dtype=float)
-    k[0] = np.nan
-    return h * i / k**2
-
-
 def cov_w(k: int, l: int, q: float) -> float:
     """E[W_k W_l]: the Pochhammer-ratio propagation of H(min, q).
 
     For k <= l the conditional mean of W_l given step k is W_k times the
     running product of (1 + q/i), i = k..l-1, whence
-    E[W_k W_l] = [(k+q)_(l-k) / (k)_(l-k)] H(k, q).
+    E[W_k W_l] = [(k+q)_(l-k) / (k)_(l-k)] H(k, q), and the Pochhammer
+    ratio is l I(k, q) / (k I(l, q)).
     """
     if k < 1 or l < 1:
         raise ValueError("indices must be at least 1")
     q = _check_q(q)
     if k > l:
         k, l = l, k
-    ratio = 1.0
-    for i in range(k, l):
-        ratio *= (i + q) / i
+    i = i_factor_table(l, q)
+    ratio = float(l * i[k] / (k * i[l])) if k < l else 1.0  # k = l = 1, q = -1 is 0/0
     return ratio * h_moment(k, q)
 
 
@@ -242,7 +234,7 @@ def t2(n: int, q: float) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
-    signed = a_factor_table(n, q)[1:]
+    signed = MomentTable.build(n, q).a
     signed[-2::-2] *= -1.0          # (-1)^(n-k) a_k; sign flips are exact
     return j2(n, q) * math.fsum(signed.tolist())
 

@@ -113,6 +113,8 @@ def sample_paths(
     bad = collect - {"qsl", "lil", "doob"}
     if bad:
         raise ValueError(f"unknown collectors: {sorted(bad)}")
+    if not all(float(s).is_integer() for s in snapshot_steps):
+        raise ValueError(f"snapshot steps must be integers, got {list(snapshot_steps)}")
     snapshot_steps = sorted(set(int(s) for s in snapshot_steps))
     if snapshot_steps and not (1 <= snapshot_steps[0] and snapshot_steps[-1] <= steps):
         raise ValueError("snapshot steps must lie in [1, steps]")

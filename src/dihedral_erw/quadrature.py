@@ -13,8 +13,10 @@ even when the other has rounded to 1.
 The kernels J1 and J2 of the T1 + 2 T2 split are Euler integrals of the
 Gauss function (DLMF 15.6.1), so they are evaluated in closed form: a beta
 prefactor times a 2F1 series at z = -1, which the Pfaff transformation
-(DLMF 15.8.1) turns into a geometric series at z = 1/2.  Quadrature of
-the same integrands serves only as a small-k cross-check in the tests.
+(DLMF 15.8.1) turns into a geometric series at z = 1/2.  Both beta
+prefactors are values of the normaliser I(k, q) of moments.i_factor, so
+the package has one implementation of gamma ratios.  Quadrature of the
+same integrands serves only as a small-k cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -163,6 +165,8 @@ def var_ztilde_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
 
 def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
     """Limit variance of the predictable part Z = q * Ztilde: q^2 times the integral."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     if q == 0.0:
         return 0.0
     return q * q * var_ztilde_infinity(q, tol)
@@ -171,35 +175,33 @@ def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
 def j1(k: int, q: float) -> float:
     """Integral of u^(k+q-1) (1-u)^(1-q) / (1+u) over (0, 1).
 
-    Closed form B(k+q, 2-q) * 2F1(1, k+q; k+2; -1), by DLMF 15.6.1, with
-    the beta function from math.lgamma.
+    Closed form B(k+q, 2-q) * 2F1(1, k+q; k+2; -1), by DLMF 15.6.1.  By
+    Gamma(x+1) = x Gamma(x) the beta function is (1-q)/((k+1) I(k, q)),
+    with I(k, q) from moments.i_factor; I(1, -1) = 0 is its pole.
     """
+    from .moments import i_factor  # moments imports this module
+
     if k < 1:
         raise ValueError("k must be at least 1")
     q = _check_q(q)
     if k + q <= 0.0:
         raise ValueError(f"need k + q > 0, got k={k}, q={q}")
-    beta = math.exp(math.lgamma(k + q) + math.lgamma(2.0 - q) - math.lgamma(k + 2.0))
-    return beta * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
+    return (1.0 - q) / ((k + 1) * i_factor(k, q)) * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
 
 
 def j2(n: int, q: float) -> float:
     """Integral of u^(n+q) (1-u)^(-q) / (1+u) over (0, 1).
 
-    Closed form beta_bound(n, q) * 2F1(1, n+q+1; n+2; -1), by DLMF 15.6.1;
-    the 2F1 factor lies in (1/2, 1), so the beta function is its envelope.
-    The log-gamma difference in the prefactor limits the relative accuracy
-    to about 3e-10 near n = 1e5.
+    Closed form B(n+q+1, 1-q) * 2F1(1, n+q+1; n+2; -1), by DLMF 15.6.1,
+    and B(n+q+1, 1-q) = 1/I(n+1, q) with I from moments.i_factor.  The 2F1
+    factor lies in (1/2, 1), so 1/I(n+1, q) is the envelope of J2.
     """
+    from .moments import i_factor  # moments imports this module
+
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
-    return beta_bound(n, q) * gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0)
-
-
-def beta_bound(n: int, q: float) -> float:
-    """B(n+q+1, 1-q) via log-gamma: the envelope of J2."""
-    return math.exp(math.lgamma(n + q + 1.0) + math.lgamma(1.0 - q) - math.lgamma(n + 2.0))
+    return gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0) / i_factor(n + 1, q)
 
 
 def gauss_2f1(a: float, b: float | np.ndarray, c: float | np.ndarray, z: float,
@@ -262,6 +264,8 @@ def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TO
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     if q_min < -1.0 or q_max > 0.99:
         raise ValueError("grid must stay within [-1, 0.99]")
     if q_max < q_min:

@@ -10,7 +10,6 @@ from dihedral_erw.group import MemoryParams, step_prob_a
 from dihedral_erw.moments import (
     MomentTable,
     _var_ztilde_double_sum,
-    a_factor_table,
     cov_w,
     enumerate_exact,
     h_closed_form,
@@ -215,13 +214,14 @@ class TestT1T2:
             assert t1(1, q) + 2 * t2(1, q) == pytest.approx(1.0, abs=1e-12)
 
     def test_t2_beta_envelope(self):
-        from dihedral_erw.quadrature import beta_bound, j2
+        from dihedral_erw.quadrature import j2
 
+        # the beta envelope B(n+q+1, 1-q) is 1/I(n+1, q); J2 over it is a Gauss factor in (1/2, 1)
         for q in (-0.5, 0.0, 0.3, 0.7):
-            a = a_factor_table(50, q)
-            budget = beta_bound(50, q) * float(np.sum(np.abs(a[1:])))
+            envelope = 1.0 / i_factor(51, q)
+            assert 0.5 < j2(50, q) / envelope <= 1.0
+            budget = envelope * float(np.sum(np.abs(MomentTable.build(50, q).a)))
             assert abs(t2(50, q)) <= budget
-            assert j2(50, q) <= beta_bound(50, q) * (1 + 1e-12)
 
     def test_t2_vanishes_at_even_horizons_without_memory(self):
         # a_k = 1 identically at q = 0, so the alternating sum telescopes
@@ -393,9 +393,9 @@ class TestMomentTable:
             (0.5, lambda k: np.log(k) / np.sqrt(k)),
             (0.8, lambda k: k ** -0.2),
         ):
-            a = a_factor_table(100_000, q)
+            a = MomentTable.build(100_000, q).a
             ks = np.array([10, 100, 1000, 10_000, 100_000])
-            ratios = np.array([a[k] / envelope(k) for k in ks])
+            ratios = np.array([a[k - 1] / envelope(k) for k in ks])
             assert ratios.max() / ratios.min() < 3.0
 
     def test_variance_envelope_bounded(self):

@@ -218,6 +218,11 @@ class TestEngine:
             sample_paths(0.0, 10, 2, 1, collect=("bogus",))
         with pytest.raises(ValueError):
             sample_paths(0.0, 10, 2, 1, snapshot_steps=(99,))
+        for steps in ((2.7,), (3, 4.5), (float("nan"),), (float("inf"),)):
+            with pytest.raises(ValueError, match="snapshot steps must be integers"):
+                sample_paths(0.0, 10, 2, 1, snapshot_steps=steps)
+        got = sample_paths(0.0, 10, 2, 1, snapshot_steps=(np.int64(3), 5.0, *range(6, 8)))
+        assert sorted(got.snapshots) == [3, 5, 6, 7]
         with pytest.raises(ValueError):
             sample_paths(0.0, LIL_START - 1, 2, 1, collect=("lil",))
         with pytest.raises(ValueError):                 # log 1 = 0, as in qsl_statistic

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dihedral_erw.moments import var_ztilde_exact
+from dihedral_erw.moments import i_factor, t2, var_ztilde_exact
 from dihedral_erw.quadrature import (
     FIGURE_CSV_HEADER,
     QuadratureError,
-    beta_bound,
     figure_csv_lines,
     figure_grid,
     gauss_2f1,
@@ -108,6 +107,12 @@ class TestLimitVariance:
             math.log(2.0), abs=1e-9
         )
 
+    def test_tol_checked_before_the_memoryless_shortcut(self):
+        for call in (lambda: var_z_infinity(0.0, tol=-1.0), lambda: var_z_infinity(0.3, tol=-1.0),
+                     lambda: figure_grid(0.0, 0.0, 1.0, tol=-1.0)):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                call()
+
     def test_prefactor_of_z(self):
         assert var_z_infinity(0.0) == 0.0
         q = -1.0
@@ -166,9 +171,10 @@ class TestJ1J2:
         assert j2(1, 0.0) == pytest.approx(1.0 - math.log(2.0), abs=1e-11)
 
     def test_j2_beta_envelope(self):
+        # the beta envelope B(n+q+1, 1-q) is 1/I(n+1, q); J2 over it is a Gauss factor in (1/2, 1)
         for q in (-0.9, -0.5, 0.0, 0.4, 0.8):
             for n in (1, 10, 1000, 100_000):
-                assert j2(n, q) <= beta_bound(n, q) * (1 + 1e-12)
+                assert 0.5 < j2(n, q) * i_factor(n + 1, q) <= 1.0
 
     def test_domains(self):
         with pytest.raises(ValueError):
@@ -178,7 +184,9 @@ class TestJ1J2:
 
     # 40-digit references from mpmath 1.3 (mp.dps = 40), computed as
     # beta(b, c - b) * hyp2f1(1, b, c, -1) with the b, c of each kernel;
-    # the J1 values also agree with mpmath.quad of the integrand itself
+    # the J1 values also agree with mpmath.quad of the integrand itself.
+    # The t2 values are that J2 times the alternating sum of H I/k^2, with
+    # H and I from their recursions run at 40 digits
     MPMATH_TABLE = (
         (j1, 5000, -0.5, 3.7604123636082086e-10),
         (j1, 20000, 0.3, 2.2161784101107933e-8),
@@ -187,12 +195,18 @@ class TestJ1J2:
         (j2, 100_000, 0.5, 2.8024850988688967e-3),
         (j2, 100_000, 0.7, 4.7300738276276844e-2),
         (j2, 100_000, -0.5, 1.4012425493819019e-8),
+        (t2, 2001, -0.5, 6.432543436676997e-5),
+        (t2, 2001, 0.3, 1.6493642925493567e-3),
+        (t2, 2001, 0.8, 8.051978020791734e-2),
+        (t2, 100_000, -0.5, 1.2446931933942084e-6),
+        (t2, 100_000, 0.3, -8.096391098381616e-5),
+        (t2, 100_000, 0.8, -2.2066672213412516e-2),
     )
 
     @pytest.mark.parametrize("fn, n, q, want", MPMATH_TABLE,
                              ids=lambda v: getattr(v, "__name__", None))
     def test_against_mpmath(self, fn, n, q, want):
-        assert fn(n, q) == pytest.approx(want, rel=1e-9)
+        assert fn(n, q) == pytest.approx(want, rel=1e-11)
 
     def test_j1_positive_and_decreasing_in_k(self):
         vals = [j1(k, 0.3) for k in (1, 2, 5, 20)]
