@@ -160,7 +160,7 @@ def _cmd_moments(parser, args) -> int:
 
 
 def _cmd_variance(parser, args) -> int:
-    if args.tol <= 0:
+    if not args.tol > 0.0:
         parser.error("--tol must be positive")
     if args.exact_n is not None and args.exact_n < 1:
         parser.error("--exact-n must be at least 1")
@@ -182,9 +182,9 @@ def _cmd_variance(parser, args) -> int:
 
 
 def _cmd_figure(parser, args) -> int:
-    if args.tol <= 0:
+    if not args.tol > 0.0:
         parser.error("--tol must be positive")
-    if args.step <= 0:
+    if not args.step > 0.0:
         parser.error("--step must be positive")
     if args.q_min < -1.0 or args.q_max > 0.99 or args.q_max < args.q_min:
         parser.error("grid must satisfy -1 <= q-min <= q-max <= 0.99")

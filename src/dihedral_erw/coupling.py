@@ -38,12 +38,11 @@ class CoupledState:
 
     The float accumulators carry Kahan compensation terms (and QV keeps its
     correction sum separately) so the pathwise identities below survive to
-    1e-12 even on paths of length 1e5.
+    1e-12 even on paths of length 1e5.  The letter counts are
+    A = (n + W)/2 and B = (n - W)/2.
     """
 
     n: int = 0
-    A: int = 0
-    B: int = 0
     W: int = 0
     S: int = 0
     Xi: float = 0.0
@@ -55,12 +54,10 @@ class CoupledState:
     _qv_comp: float = 0.0
 
     def validate(self) -> None:
-        if self.n < 0 or self.A < 0 or self.B < 0:
-            raise ValueError("negative counts")
-        if self.A + self.B != self.n:
-            raise ValueError("A + B must equal n")
-        if self.W != self.A - self.B:
-            raise ValueError("W must equal A - B")
+        if self.n < 0:
+            raise ValueError("negative step count")
+        if abs(self.W) > self.n or (self.W - self.n) % 2 != 0:
+            raise ValueError("W out of range or with wrong parity")
         if abs(self.S) > self.n or (self.S - self.n) % 2 != 0:
             raise ValueError("S out of range or with wrong parity")
 
@@ -86,7 +83,12 @@ def _neumaier_add(total: float, corr: float, x: float) -> tuple:
 
 
 def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
-    """Advance the coupled state by one step taking letter g."""
+    """Advance the coupled state by one step taking letter g.
+
+    The drift and the Ztilde and QV increments are formed from
+    w = W_n / max(n, 1), as in step_prob_a; at n = 0, W_0 = 0 makes all
+    three exactly 0.
+    """
     state.validate()
     if g not in LETTERS:
         raise ValueError(f"not a generator: {g!r}")
@@ -96,16 +98,10 @@ def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
     sgn = 1 if n % 2 == 0 else -1  # (-1)^n; epoch n+1 is odd iff n is even
     ds = sgn * dw
 
-    if n == 0:
-        # first step: no drift, empty Ztilde term, unit conditional variance
-        drift = 0.0
-        zt_inc = 0.0
-        qv_inc = 0.0
-    else:
-        w_over_n = state.W / n
-        drift = sgn * q * w_over_n
-        zt_inc = sgn * w_over_n
-        qv_inc = (q * q) * (w_over_n * w_over_n)
+    w = state.W / max(n, 1)
+    drift = sgn * q * w
+    zt_inc = sgn * w
+    qv_inc = (q * q) * (w * w)
 
     xi, xi_comp = _kahan_add(state.Xi, state._xi_comp, ds - drift)
     zt, zt_comp = _kahan_add(state.Ztilde, state._zt_comp, zt_inc)
@@ -113,8 +109,6 @@ def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
     n_new = n + 1
     return CoupledState(
         n=n_new,
-        A=state.A + (1 if dw > 0 else 0),
-        B=state.B + (1 if dw < 0 else 0),
         W=state.W + dw,
         S=state.S + ds,
         Xi=xi,
@@ -128,16 +122,15 @@ def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
 
 
 def conditional_step_prob(state: CoupledState, params: MemoryParams) -> tuple:
-    """(P(S goes up), P(S goes down)) given the state after n >= 1 steps.
+    """(P(S goes up), P(S goes down)) given the state after n >= 0 steps.
 
-    The up-probability is 1/2 + (-1)^n q W_n / (2n): step epoch n + 1 encodes
-    a as +1 iff n is even, so it is P(a) = step_prob_a at even n and 1 - P(a)
-    at odd n.  It depends on the whole S-history only through W_n, which is
-    itself a signed functional of the full path.
+    The up-probability is 1/2 + (-1)^n q W_n / (2n), and (1/2, 1/2) at
+    n = 0: step epoch n + 1 encodes a as +1 iff n is even, so it is
+    P(a) = step_prob_a at even n and 1 - P(a) at odd n.  It depends on the
+    whole S-history only through W_n, which is itself a signed functional
+    of the full path.
     """
     state.validate()
-    if state.n < 1:
-        raise ValueError("conditional law is defined from n >= 1 (first step is uniform)")
     prob_a = step_prob_a(params.q, state.W, state.n)
     prob_up = prob_a if state.n % 2 == 0 else 1.0 - prob_a
     return prob_up, 1.0 - prob_up

@@ -159,25 +159,25 @@ def _check_q(q: float) -> float:
 
 
 def step_prob_a(q, W, n):
-    """P(the next letter is a) after n >= 1 steps with W = #a - #b.
+    """P(the next letter is a) after n >= 0 steps with W = #a - #b.
 
     Mathematically (p*A + (1-p)*B)/n; evaluated as 1/2 + (q/2) * (W/n),
     the IEEE operations of the Monte Carlo engine, so that every sampler
-    turns the same uniform into the same letter.  Works on scalars and on
-    numpy arrays alike.
+    turns the same uniform into the same letter.  W is divided by
+    max(n, 1): W_0 = 0, so the uniform first step is this law at n = 0,
+    exactly 1/2 for every q.  Works on scalars and on numpy arrays alike.
     """
-    return 0.5 + (0.5 * q) * (W / n)
+    return 0.5 + (0.5 * q) * (W / max(n, 1))
 
 
 def sample_next_letter(A: int, B: int, n: int, params: MemoryParams, rng) -> str:
     """Draw the next step letter given the running counts A (a's) and B (b's).
 
-    The next letter is a with probability step_prob_a(q, A - B, n).  This
-    counts form has the same conditional law as remembering a uniform past
-    index and repeating it with probability p, but needs only O(1) state.
+    The next letter is a with probability step_prob_a(q, A - B, n), from
+    n = 0 (the uniform first step) on.  This counts form has the same
+    conditional law as remembering a uniform past index and repeating it
+    with probability p, but needs only O(1) state.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1 (the first step is uniform)")
     if A < 0 or B < 0 or A + B != n:
         raise ValueError(f"counts A={A}, B={B} inconsistent with n={n}")
     return "a" if rng.random() < step_prob_a(params.q, A - B, n) else "b"
@@ -217,18 +217,15 @@ class WalkTrace:
 def simulate_walk(params: MemoryParams, steps: int, rng) -> WalkTrace:
     """Simulate one elephant path of the given length.
 
-    The first letter is uniform on {a, b}; afterwards letters follow the
-    counts form of the memory dynamics.  One uniform draw is consumed per
-    step, which pins the path to the injected stream.
+    Every letter, the uniform first one included, is drawn by
+    sample_next_letter from the counts so far.  One uniform draw is
+    consumed per step, which pins the path to the injected stream.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     trace = WalkTrace(params=params, positions=[GroupWord.identity()])
-    g = "a" if rng.random() < 0.5 else "b"
-    a_count = 1 if g == "a" else 0
-    trace.letters.append(g)
-    trace.positions.append(reduce_left_multiply(g, trace.positions[-1]))
-    for n in range(1, steps):
+    a_count = 0
+    for n in range(steps):
         g = sample_next_letter(a_count, n - a_count, n, params, rng)
         if g == "a":
             a_count += 1

@@ -350,7 +350,7 @@ def enumerate_exact(
     carried = {}  # k -> E[W_k; A] over the current states
     m, es, es2, ez, ez2 = (np.array([v]) for v in (1.0, 0.0, 0.0, 0.0, 0.0))
     for k in range(1, n + 1):
-        pa = 0.5 if k == 1 else step_prob_a(q, 2.0 * np.arange(k) - (k - 1), k - 1)
+        pa = step_prob_a(q, 2.0 * np.arange(k) - (k - 1), k - 1)
         pb = 1.0 - pa
         da, db = encode_increment(k, "a"), encode_increment(k, "b")
         es2 = _forward(pa, pb, es2 + 2 * da * es + m, es2 + 2 * db * es + m)

@@ -178,11 +178,12 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
 
     - dW = +1 iff u < p, so e = copysign(1, u - p) is -dW, ties included;
     - the Kahan pair K holds (-Xi, Ztilde), whose increments are both
-      (-1)^n times the row of P = (e + q w, w), w = W_n / n;
+      (-1)^n times the row of P = (e + q w, w), w = W_n / max(n, 1);
     - the Neumaier pair N holds (sum q^2 w^2, sum w^2), the latter only
-      with collectors.  Its first term is the largest (|w| <= 1 and the
+      with collectors.  Its term at n = 1 is the largest (|w| <= 1 and the
       terms are non-negative), so the branch |sum| >= |term| is taken from
-      the second term on, and at the first both branches give 0.
+      n = 2 on; at n = 0 (term 0, as W_0 = 0) and n = 1 the sum is still 0
+      and both branches give 0.
 
     The step from time n reads S, K, N and N's carry NC from row n % ring
     of a history ring and writes them to row (n + 1) % ring.  A bare pass
@@ -197,7 +198,7 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
     ring = int(max(2, min(chunk, (1 << 16) // reps))) if collect else 2
 
     half, one, c_q, c_hq, c_qq = (np.array(v) for v in (0.5, 1.0, q, 0.5 * q, q * q))
-    n_ = np.zeros(())
+    n_ = np.ones(())                                # max(n, 1), as in step_prob_a
     W, e = np.zeros(reps), np.zeros(reps)
     P, Y, KC = (np.zeros((2, reps)) for _ in range(3))
     X, R = (np.zeros((2 if collect else 1, reps)) for _ in range(2))
@@ -229,35 +230,29 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
             for u in u_buf[lo:hi]:
                 m = n + 1
                 S, K, N, NC, S_new, K_new, N_new, NC_new = steps_to[m % ring]
-                if n == 0:                          # p = 1/2; no Ztilde or QV term
-                    np.subtract(u, half, out=e)
-                    np.copysign(one, e, out=e)
-                    np.copyto(K_new[0], e)
+                np.divide(W, n_, out=w)
+                np.multiply(c_hq, w, out=e)
+                np.add(e, half, out=e)              # p = 1/2 + (q/2) w
+                np.subtract(u, e, out=e)
+                np.copysign(one, e, out=e)          # e = -dW
+                np.multiply(c_q, w, out=P0)
+                np.add(P0, e, out=P0)
+                if n & 1:                           # increments -P, so y = -(P + c)
+                    np.add(P, KC, out=Y)
+                    np.subtract(K, Y, out=K_new)
+                    np.subtract(K_new, K, out=KC)
+                    np.add(KC, Y, out=KC)
                 else:
-                    n_[()] = n
-                    np.divide(W, n_, out=w)
-                    np.multiply(c_hq, w, out=e)
-                    np.add(e, half, out=e)          # p = 1/2 + (q/2) w
-                    np.subtract(u, e, out=e)
-                    np.copysign(one, e, out=e)      # e = -dW
-                    np.multiply(c_q, w, out=P0)
-                    np.add(P0, e, out=P0)
-                    if n & 1:                       # increments -P, so y = -(P + c)
-                        np.add(P, KC, out=Y)
-                        np.subtract(K, Y, out=K_new)
-                        np.subtract(K_new, K, out=KC)
-                        np.add(KC, Y, out=KC)
-                    else:
-                        np.subtract(P, KC, out=Y)
-                        np.add(K, Y, out=K_new)
-                        np.subtract(K_new, K, out=KC)
-                        np.subtract(KC, Y, out=KC)
-                    np.multiply(w, w, out=w_sq)
-                    np.multiply(c_qq, w_sq, out=qv_term)
-                    np.add(N, X, out=N_new)         # Neumaier: c += (sum - t) + x
-                    np.subtract(N, N_new, out=R)
-                    np.add(R, X, out=R)
-                    np.add(NC, R, out=NC_new)
+                    np.subtract(P, KC, out=Y)
+                    np.add(K, Y, out=K_new)
+                    np.subtract(K_new, K, out=KC)
+                    np.subtract(KC, Y, out=KC)
+                np.multiply(w, w, out=w_sq)
+                np.multiply(c_qq, w_sq, out=qv_term)
+                np.add(N, X, out=N_new)             # Neumaier: c += (sum - t) + x
+                np.subtract(N, N_new, out=R)
+                np.add(R, X, out=R)
+                np.add(NC, R, out=NC_new)
                 np.subtract(W, e, out=W)
                 if n & 1:
                     np.add(S, e, out=S_new)
@@ -265,7 +260,7 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
                     np.subtract(S, e, out=S_new)
                 if m in snaps:
                     snaps[m][:] = S_new
-                n = m
+                n = n_[()] = m
             clock = _lap(seconds, "steps", clock)
             if collectors is not None:
                 block = slice(r0, r0 + hi - lo)

@@ -32,6 +32,7 @@ from .group import _check_q
 DEFAULT_TOL = 1e-10
 _T_MAX = 6.0  # exp(pi*sinh(6)) stays inside double range
 _MAX_LEVEL = 12
+_SERIES_TOL = 1e-15  # gauss_2f1 stops at the first term <= this times max(1, |sum|)
 
 
 class QuadratureError(RuntimeError):
@@ -80,7 +81,7 @@ def integrate(f: Callable[[float, float], float], tol: float = DEFAULT_TOL) -> Q
     Nodes stop at |t| = _T_MAX, where u, 1-u and the weight (about 4e-273)
     are still positive.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
 
     evals = 0
@@ -165,7 +166,7 @@ def var_ztilde_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
 
 def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
     """Limit variance of the predictable part Z = q * Ztilde: q^2 times the integral."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if q == 0.0:
         return 0.0
@@ -204,8 +205,8 @@ def j2(n: int, q: float) -> float:
     return gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0) / i_factor(n + 1, q)
 
 
-def gauss_2f1(a: float, b: float | np.ndarray, c: float | np.ndarray, z: float,
-              tol: float = 1e-15) -> float | np.ndarray:
+def gauss_2f1(a: float, b: float | np.ndarray, c: float | np.ndarray,
+              z: float) -> float | np.ndarray:
     """Gauss hypergeometric series 2F1(a, b; c; z) for |z| < 1 plus z = -1.
 
     Negative arguments are routed through the Pfaff transformation
@@ -222,13 +223,13 @@ def gauss_2f1(a: float, b: float | np.ndarray, c: float | np.ndarray, z: float,
     if not (-1.0 <= z < 1.0):
         raise ValueError(f"need -1 <= z < 1, got {z}")
     if z < 0.0:
-        out = (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, z / (z - 1.0), tol)
+        out = (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, z / (z - 1.0))
     else:
-        out = _hyp_series(a, b, c, z, tol)
+        out = _hyp_series(a, b, c, z)
     return float(out) if out.ndim == 0 else out
 
 
-def _hyp_series(a: float, b: np.ndarray, c: np.ndarray, z: float, tol: float) -> np.ndarray:
+def _hyp_series(a: float, b: np.ndarray, c: np.ndarray, z: float) -> np.ndarray:
     """Sum the series elementwise; each element stops at its own first small term."""
     total = np.ones(b.shape)
     term = np.ones(b.shape)
@@ -238,7 +239,7 @@ def _hyp_series(a: float, b: np.ndarray, c: np.ndarray, z: float, tol: float) ->
         s = total[live] + t
         term[live], total[live] = t, s
         # a nan term never counts as small; fmax, like max, passes over a nan total
-        live[live] = ~(np.abs(t) <= tol * np.fmax(1.0, np.abs(s)))
+        live[live] = ~(np.abs(t) <= _SERIES_TOL * np.fmax(1.0, np.abs(s)))
         if not live.any():
             return total
     raise QuadratureError(f"hypergeometric series did not converge at z={z}")
@@ -262,9 +263,9 @@ def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TO
     cannot miss exact values such as q = 0 or the q = 1/2 branch point.
     Per-point quadrature failures are flagged on the row, not raised.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("step must be positive")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if q_min < -1.0 or q_max > 0.99:
         raise ValueError("grid must stay within [-1, 0.99]")

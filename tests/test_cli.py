@@ -187,9 +187,20 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_bad_tolerance(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["variance", "--q", "0", "--tol", "-1"])
-        assert exc.value.code == 2
+        for tol in ("-1", "0", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(["variance", "--q", "0", "--tol", tol])
+            assert exc.value.code == 2
+
+    def test_bad_figure_tolerance_or_step(self, tmp_path):
+        out = tmp_path / "fig.csv"
+        for flag, value in (("--tol", "-1"), ("--tol", "nan"), ("--step", "0"), ("--step", "nan")):
+            args = {"--tol": "1e-10", "--step": "0.1", flag: value}
+            with pytest.raises(SystemExit) as exc:
+                main(["figure", "--q-min", "0", "--q-max", "0.2", "--out", str(out),
+                      *(x for kv in args.items() for x in kv)])
+            assert exc.value.code == 2
+            assert not out.exists()
 
 
 class TestImports:

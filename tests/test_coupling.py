@@ -60,7 +60,7 @@ class TestAdvance:
     def test_rejects_inconsistent_state(self):
         from dihedral_erw.coupling import CoupledState
 
-        bad = CoupledState(n=2, A=2, B=1, W=1, S=0)
+        bad = CoupledState(n=2, W=1, S=0)  # W_n has the parity of n
         with pytest.raises(ValueError):
             advance(bad, "a", MemoryParams.from_q(0.0))
 
@@ -135,9 +135,9 @@ class TestConditionalStepProb:
         up, down = conditional_step_prob(st_, params)
         assert (up, down) == (1.0, 0.0)
 
-    def test_first_step_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_step_prob(initial_state(), MemoryParams.from_q(0.0))
+    def test_first_step_is_uniform(self):
+        for q in (-1.0, -0.5, 0.0, 0.3, 1.0):
+            assert conditional_step_prob(initial_state(), MemoryParams.from_q(q)) == (0.5, 0.5)
 
     def test_martingale_increment_mean_zero_exact(self):
         # E[xi | state] = 0 algebraically for every reachable state

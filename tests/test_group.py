@@ -135,7 +135,9 @@ class TestSampleNextLetter:
         with pytest.raises(ValueError):
             sample_next_letter(2, 2, 3, params, rng)
         with pytest.raises(ValueError):
-            sample_next_letter(0, 0, 0, params, rng)
+            sample_next_letter(1, 0, 0, params, rng)
+        with pytest.raises(ValueError):
+            sample_next_letter(0, 0, -1, params, rng)
 
     def test_conditional_probability_value(self):
         # A=2, B=1, n=3, p=0.75: P(a) = (0.75*2 + 0.25*1)/3 = 7/12
@@ -169,6 +171,10 @@ class TestStepLaw:
         assert step_prob_a(-1.0, 3, 3) == 0.0 and step_prob_a(1.0, 3, 3) == 1.0
         w = np.array([-4, 0, 4])
         assert list(step_prob_a(0.5, w, 4)) == [step_prob_a(0.5, int(x), 4) for x in w]
+        # the uniform first step is the law at n = 0, where W_0 = 0
+        for q in (-1.0, -0.5, 0.0, 0.3, 1.0):
+            assert step_prob_a(q, 0, 0) == 0.5
+            assert list(step_prob_a(q, np.zeros(3), 0)) == [0.5] * 3
 
     def test_sampler_threshold_is_the_shared_law(self):
         # where the counts form (p*A + (1-p)*B)/n rounds differently from
@@ -183,6 +189,8 @@ class TestStepLaw:
                     if (p * A + (1.0 - p) * B) / n != step_prob_a(q, A - B, n):
                         points.append((params, A, B, n))
         assert len(points) > 10_000
+        # n = 0 splits at exactly 1/2 for every q
+        points += [(MemoryParams.from_q(q), 0, 0, 0) for q in (-1.0, -0.5, 0.0, 0.3, 1.0)]
         for params, A, B, n in points:
             u = step_prob_a(params.q, A - B, n)
             assert sample_next_letter(A, B, n, params, _FixedUniform(u)) == "b"

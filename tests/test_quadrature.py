@@ -52,8 +52,9 @@ class TestIntegrate:
         assert var_ztilde_infinity_result(0.5).levels >= 2
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            integrate(lambda u, um1: 1.0, tol=0.0)
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                integrate(lambda u, um1: 1.0, tol=tol)
 
     def test_narrow_peak_is_not_missed(self):
         # the J1 integrand at k = 5000, q = -1/2 peaks in a sliver near
@@ -108,10 +109,12 @@ class TestLimitVariance:
         )
 
     def test_tol_checked_before_the_memoryless_shortcut(self):
-        for call in (lambda: var_z_infinity(0.0, tol=-1.0), lambda: var_z_infinity(0.3, tol=-1.0),
-                     lambda: figure_grid(0.0, 0.0, 1.0, tol=-1.0)):
-            with pytest.raises(ValueError, match="tol must be positive"):
-                call()
+        for tol in (-1.0, float("nan")):
+            for call in (lambda: var_z_infinity(0.0, tol=tol), lambda: var_z_infinity(0.3, tol=tol),
+                         lambda: figure_grid(0.0, 0.0, 1.0, tol=tol),
+                         lambda: figure_grid(0.1, 0.3, 0.1, tol=tol)):
+                with pytest.raises(ValueError, match="tol must be positive"):
+                    call()
 
     def test_prefactor_of_z(self):
         assert var_z_infinity(0.0) == 0.0
@@ -303,6 +306,9 @@ class TestFigureGrid:
         assert len(lines) == 4
 
     def test_domain_guard(self):
+        for step in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="step must be positive"):
+                figure_grid(0.0, 0.2, step)
         with pytest.raises(ValueError):
             figure_grid(-1.2, 0.5, 0.1)
         with pytest.raises(ValueError):
