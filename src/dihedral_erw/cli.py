@@ -1,8 +1,11 @@
 """Command-line interface: simulation, exact computation, quadrature, verification.
 
 Exit codes: 0 success, 1 numerical failure (JSON error record on stdout),
-2 usage error.  All output is locale-independent; floats are printed with
-12 significant digits in CSV files.
+2 usage error, which covers every argument the library rejects (its
+message on stderr, nothing on stdout).  The CLI checks no numeric domain
+itself: each input is checked once, by the library function that owns it.
+All output is locale-independent; floats are printed with 12 significant
+digits in CSV files.
 """
 
 from __future__ import annotations
@@ -31,15 +34,8 @@ def _add_memory_args(sp, required: bool = True):
     grp.add_argument("--q", type=float, help="centred memory parameter q = 2p - 1")
 
 
-def _params_from_args(parser, args, allow_p_one: bool) -> MemoryParams:
-    try:
-        params = (MemoryParams.from_p(args.p) if args.p is not None
-                  else MemoryParams.from_q(args.q))
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not allow_p_one and params.p == 1.0:
-        parser.error("p = 1 (q = 1) is only supported by `simulate`")
-    return params
+def _params_from_args(args) -> MemoryParams:
+    return MemoryParams.from_p(args.p) if args.p is not None else MemoryParams.from_q(args.q)
 
 
 def _write_lines(lines, path: Optional[str]) -> None:
@@ -105,19 +101,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        return args.run(parser, args)
+        return args.run(args)
     except QuadratureError as exc:
         print(json.dumps({"error": {"kind": "quadrature", "message": str(exc)}}))
         return 1
     except ValueError as exc:
-        print(json.dumps({"error": {"kind": "value", "message": str(exc)}}))
-        return 1
+        parser.error(str(exc))
 
 
-def _cmd_simulate(parser, args) -> int:
-    if args.steps < 1:
-        parser.error("--steps must be at least 1")
-    params = _params_from_args(parser, args, allow_p_one=True)
+def _cmd_simulate(args) -> int:
+    params = _params_from_args(args)
     rng = replication_stream(args.seed, 0)
     trace = simulate_walk(params, args.steps, rng)
     if args.trace:
@@ -141,30 +134,23 @@ def _cmd_simulate(parser, args) -> int:
     return 0
 
 
-def _cmd_enumerate(parser, args) -> int:
-    if args.n < 1:
-        parser.error("--n must be at least 1")
-    params = _params_from_args(parser, args, allow_p_one=False)
-    res = enumerate_exact(args.n, params)
+def _cmd_enumerate(args) -> int:
+    cov_pairs = ((1, 2),) if args.n >= 2 else ()
+    res = enumerate_exact(args.n, _params_from_args(args), cov_pairs)
     print(res.to_json())
     return 0
 
 
-def _cmd_moments(parser, args) -> int:
-    if args.n_max < 1:
-        parser.error("--n-max must be at least 1")
-    params = _params_from_args(parser, args, allow_p_one=False)
-    table = MomentTable.build(args.n_max, params.q)
+def _cmd_moments(args) -> int:
+    table = MomentTable.build(args.n_max, _params_from_args(args).q)
     _write_lines(table.csv_lines(), args.out)
     return 0
 
 
-def _cmd_variance(parser, args) -> int:
-    if not args.tol > 0.0:
-        parser.error("--tol must be positive")
-    if args.exact_n is not None and args.exact_n < 1:
-        parser.error("--exact-n must be at least 1")
-    params = _params_from_args(parser, args, allow_p_one=False)
+def _cmd_variance(args) -> int:
+    params = _params_from_args(args)
+    # the exact sum first, so a bad --exact-n fails before any integrand runs
+    exact = None if args.exact_n is None else var_ztilde_exact(args.exact_n, params.q)
     res = var_ztilde_infinity_result(params.q, tol=args.tol)
     payload = {
         "q": params.q,
@@ -174,20 +160,14 @@ def _cmd_variance(parser, args) -> int:
         "evaluations": res.evaluations,
         "levels": res.levels,
     }
-    if args.exact_n is not None:
+    if exact is not None:
         payload["exact_n"] = args.exact_n
-        payload["var_Ztilde_exact_n"] = var_ztilde_exact(args.exact_n, params.q)
+        payload["var_Ztilde_exact_n"] = exact
     print(json.dumps(payload))
     return 0
 
 
-def _cmd_figure(parser, args) -> int:
-    if not args.tol > 0.0:
-        parser.error("--tol must be positive")
-    if not args.step > 0.0:
-        parser.error("--step must be positive")
-    if args.q_min < -1.0 or args.q_max > 0.99 or args.q_max < args.q_min:
-        parser.error("grid must satisfy -1 <= q-min <= q-max <= 0.99")
+def _cmd_figure(args) -> int:
     rows = figure_grid(args.q_min, args.q_max, args.step, tol=args.tol)
     failed = [r.q for r in rows if not r.ok]
     _write_lines(figure_csv_lines(rows), args.out)
@@ -196,7 +176,7 @@ def _cmd_figure(parser, args) -> int:
     return 0
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     results = run_acceptance(quick=args.quick)
     n_fail = sum(1 for r in results if not r.passed)
     total = sum(r.seconds for r in results)

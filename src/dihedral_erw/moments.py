@@ -166,8 +166,6 @@ def var_ztilde_exact(n: int, q: float) -> float:
     beside t_1 = 1 (odd n) or t_1 + t_2 = (1 - q)/2 (even n).  G is solved
     in blocks from G_2 = -(1 + q), since a_1 = 1 + q vanishes at q = -1.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     q = _check_q(q)
     h = h_moment_table(n, q)
     odd = n % 2
@@ -193,8 +191,6 @@ def _var_ztilde_double_sum(n: int, q: float) -> float:
 
         sum_{k=1}^{n} (H(k,q)/k^2) (1 + 2 sum_{l=1}^{n-k} (-1)^l (k+q)_l/(k+1)_l)
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     q = _check_q(q)
     h = h_moment_table(n, q)
     total = []
@@ -216,8 +212,6 @@ def t1(n: int, q: float) -> float:
     factor of J1.  This form has no pole: at k = 1, q = -1 the term is 1.
     The n Gauss factors come from one array call of gauss_2f1.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     q = _check_q(q)
     h = h_moment_table(n, q)
     k = np.arange(1, n + 1, dtype=float)
@@ -231,8 +225,6 @@ def t2(n: int, q: float) -> float:
     The alternating sum cancels heavily, so it is accumulated with exact
     (fsum) summation rather than a running float total.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     q = _check_q(q)
     signed = MomentTable.build(n, q).a
     signed[-2::-2] *= -1.0          # (-1)^(n-k) a_k; sign flips are exact
@@ -339,7 +331,7 @@ def enumerate_exact(
     for k, l in cov_pairs:
         if not (1 <= k <= n and 1 <= l <= n):
             raise ValueError(f"cov pair ({k},{l}) out of range for n={n}")
-    q = params.q
+    q = _check_q(params.q)
     try:
         coupling_ok = exhaustive_coupling_check(n) == 2**n
     except AssertionError:

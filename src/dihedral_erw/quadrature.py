@@ -103,7 +103,7 @@ def integrate(f: Callable[[float, float], float], tol: float = DEFAULT_TOL) -> Q
         j += 1
     value = h * total
     prev = value
-    err = math.inf
+    err = math.nan  # level 1 has no earlier difference, so level 2 is the earliest accepted
 
     for level in range(1, _MAX_LEVEL + 1):
         prev_err = err
@@ -267,9 +267,9 @@ def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TO
         raise ValueError("step must be positive")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if q_min < -1.0 or q_max > 0.99:
+    if not -1.0 <= q_min or not q_max <= 0.99:  # written so that nan fails
         raise ValueError("grid must stay within [-1, 0.99]")
-    if q_max < q_min:
+    if not q_min <= q_max:
         raise ValueError("empty grid")
     rows = []
     count = int(round((q_max - q_min) / step))

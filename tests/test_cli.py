@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import dihedral_erw
-from dihedral_erw import cli
+from dihedral_erw import quadrature
+from dihedral_erw.acceptance import Q_GRID
 from dihedral_erw.cli import main
 from dihedral_erw.moments import h_moment
 from dihedral_erw.montecarlo import sample_paths
@@ -40,13 +41,18 @@ class TestVariance:
 
     @pytest.mark.parametrize("bad", (("--exact-n", "0"), ("--tol", "0")))
     def test_arguments_checked_before_quadrature(self, monkeypatch, bad):
+        # counts integrand evaluations: the tol check is inside the quadrature call
         calls = []
-        monkeypatch.setattr(cli, "var_ztilde_infinity_result",
-                            lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(quadrature, "phi_integrand", lambda *a: calls.append(a) or 1.0)
         with pytest.raises(SystemExit) as exc:
             main(["variance", "--q", "0.5", *bad])
         assert exc.value.code == 2
         assert calls == []
+
+    def test_infinite_tolerance_accepted_at_level_two(self, capsys):
+        code, out, _ = run_cli(capsys, "variance", "--q", "0.3", "--tol", "inf")
+        assert code == 0
+        assert json.loads(out)["levels"] == 2
 
     def test_full_memory_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -112,6 +118,16 @@ class TestEnumerate:
             main(["enumerate", "--p", "0.6", "--n", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_one_step_horizon(self, capsys, q):
+        # the default cov pair (1, 2) needs n >= 2, so n = 1 reports none
+        code, out, _ = run_cli(capsys, "enumerate", "--q", str(q), "--n", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["E_W2"] == 1.0
+        assert payload["coupling_ok"] is True
+        assert payload["cov_W"] == {}
+
     def test_long_horizon(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--q", "0.3", "--n", "40")
         assert code == 0
@@ -171,6 +187,24 @@ class TestVerify:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", (
+        ("simulate", "--q", "0.3", "--steps", "0"),
+        ("enumerate", "--q", "0.3", "--n", "0"),
+        ("moments", "--q", "0.3", "--n-max", "0"),
+        ("variance", "--q", "0.3", "--exact-n", "0"),
+        ("enumerate", "--p", "1", "--n", "3"),
+        ("figure", "--q-min", "nan", "--q-max", "0.2", "--step", "0.1"),
+        ("figure", "--q-min", "0", "--q-max", "nan", "--step", "0.1"),
+        ("figure", "--q-min", "0.5", "--q-max", "0.2", "--step", "0.1"),
+    ), ids=" ".join)
+    def test_library_rejection_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "derw: error: " in captured.err
+
     def test_missing_memory_parameter(self):
         with pytest.raises(SystemExit) as exc:
             main(["variance"])

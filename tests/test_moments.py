@@ -191,6 +191,14 @@ class TestVarZtildeExact:
             assert var_ztilde_exact(n, q) == pytest.approx(want[n], rel=1e-13, abs=0.0), n
 
 
+class TestHorizonDomain:
+    def test_exact_sums_reject_empty_horizon(self):
+        # the check lives in h_moment_table (or MomentTable.build), which each sum calls first
+        for f in (var_ztilde_exact, _var_ztilde_double_sum, t1, t2):
+            with pytest.raises(ValueError, match=r"^n must be at least 1$"):
+                f(0, 0.3)
+
+
 class TestT1T2:
     @pytest.mark.parametrize("q", Q_GRID)
     def test_identity_small_horizons(self, q):
@@ -259,6 +267,11 @@ class TestEnumeration:
             enumerate_exact(0, MemoryParams.from_p(0.5))
         with pytest.raises(ValueError):
             enumerate_exact(4, MemoryParams.from_p(0.5), cov_pairs=((2, 5),))
+
+    def test_rejects_full_memory(self):
+        # the exact layer's q domain is [-1, 1); q = -1.5 is already rejected by MemoryParams
+        with pytest.raises(ValueError, match=r"^q must lie in \[-1, 1\), got 1.0$"):
+            enumerate_exact(2, MemoryParams.from_q(1.0))
 
     def test_half_memory_w2(self):
         res = enumerate_exact(3, MemoryParams.from_p(0.75))

@@ -45,8 +45,10 @@ class TestIntegrate:
 
     def test_reports_acceptance_level(self):
         # two level differences within tol are needed, so level 2 is the
-        # earliest; at tol 1e-10 the level differences of a constant are
-        # 1.6e-2, 3.4e-6, 3.7e-14 and 1e-16, so it is accepted at level 4
+        # earliest, even at tol = inf; at tol 1e-10 the level differences of
+        # a constant are 1.6e-2, 3.4e-6, 3.7e-14 and 1e-16, so it is accepted
+        # at level 4
+        assert integrate(lambda u, um1: 1.0, tol=math.inf).levels == 2
         assert integrate(lambda u, um1: 1.0, tol=0.1).levels == 2
         assert integrate(lambda u, um1: 1.0, tol=1e-10).levels == 4
         assert var_ztilde_infinity_result(0.5).levels >= 2
@@ -157,10 +159,11 @@ class TestLimitVariance:
 
     @pytest.mark.parametrize("q", (1.0, -1.5))
     def test_one_q_domain_with_the_exact_layer(self, q):
-        from dihedral_erw.moments import h_moment
+        from dihedral_erw.moments import h_moment, t1
 
         calls = (lambda: phi_integrand(q, 0.5), lambda: var_ztilde_infinity(q),
-                 lambda: j1(2, q), lambda: j2(2, q), lambda: h_moment(2, q))
+                 lambda: j1(2, q), lambda: j2(2, q), lambda: h_moment(2, q),
+                 lambda: var_ztilde_exact(2, q), lambda: t1(2, q), lambda: t2(2, q))
         for call in calls:
             with pytest.raises(ValueError, match=r"^q must lie in \[-1, 1\), got "):
                 call()
@@ -309,7 +312,8 @@ class TestFigureGrid:
         for step in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="step must be positive"):
                 figure_grid(0.0, 0.2, step)
-        with pytest.raises(ValueError):
-            figure_grid(-1.2, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            figure_grid(0.0, 0.995, 0.1)
+        for q_min, q_max in ((-1.2, 0.5), (0.0, 0.995), (math.nan, 0.5), (0.0, math.nan)):
+            with pytest.raises(ValueError, match=r"grid must stay within \[-1, 0.99\]"):
+                figure_grid(q_min, q_max, 0.1)
+        with pytest.raises(ValueError, match="empty grid"):
+            figure_grid(0.5, 0.2, 0.1)
