@@ -113,9 +113,10 @@ def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
     rng = replication_stream(args.seed, 0)
     trace = simulate_walk(params, args.steps, rng)
+    states = coupled_states_along(trace)
     if args.trace:
-        _write_lines(trace_csv_lines(trace), args.trace)
-    final = coupled_states_along(trace)[-1]
+        _write_lines(trace_csv_lines(trace, states), args.trace)
+    final = states[-1]
     summary = {
         "p": params.p,
         "q": params.q,

@@ -14,8 +14,7 @@ variation of Xi is <Xi>_n = n - q^2 * sum_{k<n} W_k^2/k^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, reduce_left_multiply,
                     signed_location, step_prob_a)
@@ -32,8 +31,7 @@ def encode_increment(n: int, g: str) -> int:
     return 1 if g == "b" else -1
 
 
-@dataclass(frozen=True)
-class CoupledState:
+class CoupledState(NamedTuple):
     """Running record of the coupled processes after n steps.
 
     The float accumulators carry Kahan compensation terms (and QV keeps its
@@ -48,10 +46,10 @@ class CoupledState:
     Xi: float = 0.0
     Ztilde: float = 0.0
     QV: float = 0.0
-    _xi_comp: float = 0.0
-    _zt_comp: float = 0.0
-    _qv_corr: float = 0.0  # running sum of q^2 W_k^2 / k^2
-    _qv_comp: float = 0.0
+    xi_comp: float = 0.0
+    zt_comp: float = 0.0
+    qv_corr: float = 0.0  # running sum of q^2 W_k^2 / k^2
+    qv_comp: float = 0.0
 
     def validate(self) -> None:
         if self.n < 0:
@@ -82,19 +80,14 @@ def _neumaier_add(total: float, corr: float, x: float) -> tuple:
     return t, corr
 
 
-def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
-    """Advance the coupled state by one step taking letter g.
+def _step(state: CoupledState, dw: int, q: float) -> CoupledState:
+    """The state after one more step with W-increment dw = +-1 (a is +1).
 
     The drift and the Ztilde and QV increments are formed from
     w = W_n / max(n, 1), as in step_prob_a; at n = 0, W_0 = 0 makes all
-    three exactly 0.
+    three exactly 0.  No checks: advance and coupled_states_along make them.
     """
-    state.validate()
-    if g not in LETTERS:
-        raise ValueError(f"not a generator: {g!r}")
     n = state.n
-    q = params.q
-    dw = 1 if g == "a" else -1
     sgn = 1 if n % 2 == 0 else -1  # (-1)^n; epoch n+1 is odd iff n is even
     ds = sgn * dw
 
@@ -103,22 +96,20 @@ def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
     zt_inc = sgn * w
     qv_inc = (q * q) * (w * w)
 
-    xi, xi_comp = _kahan_add(state.Xi, state._xi_comp, ds - drift)
-    zt, zt_comp = _kahan_add(state.Ztilde, state._zt_comp, zt_inc)
-    qv_corr, qv_comp = _neumaier_add(state._qv_corr, state._qv_comp, qv_inc)
+    xi, xi_comp = _kahan_add(state.Xi, state.xi_comp, ds - drift)
+    zt, zt_comp = _kahan_add(state.Ztilde, state.zt_comp, zt_inc)
+    qv_corr, qv_comp = _neumaier_add(state.qv_corr, state.qv_comp, qv_inc)
     n_new = n + 1
-    return CoupledState(
-        n=n_new,
-        W=state.W + dw,
-        S=state.S + ds,
-        Xi=xi,
-        Ztilde=zt,
-        QV=n_new - (qv_corr + qv_comp),
-        _xi_comp=xi_comp,
-        _zt_comp=zt_comp,
-        _qv_corr=qv_corr,
-        _qv_comp=qv_comp,
-    )
+    return CoupledState(n_new, state.W + dw, state.S + ds, xi, zt,
+                        n_new - (qv_corr + qv_comp), xi_comp, zt_comp, qv_corr, qv_comp)
+
+
+def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
+    """Advance the coupled state by one step taking letter g."""
+    state.validate()
+    if g not in LETTERS:
+        raise ValueError(f"not a generator: {g!r}")
+    return _step(state, 1 if g == "a" else -1, params.q)
 
 
 def conditional_step_prob(state: CoupledState, params: MemoryParams) -> tuple:
@@ -159,10 +150,14 @@ def reconstruct_w_from_s(s_path: Sequence[int]) -> int:
 
 def coupled_states_along(trace: WalkTrace) -> list:
     """CoupledState after each step of a trace (n = 1..len)."""
+    for g in trace.letters:
+        if g not in LETTERS:
+            raise ValueError(f"not a generator: {g!r}")
+    q = trace.params.q
     states = []
     st = initial_state()
     for g in trace.letters:
-        st = advance(st, g, trace.params)
+        st = _step(st, 1 if g == "a" else -1, q)
         states.append(st)
     return states
 
@@ -212,10 +207,14 @@ def exhaustive_coupling_check(depth: int) -> int:
 TRACE_CSV_HEADER = "n,letter,W,S,Xi,Ztilde,QV"
 
 
-def trace_csv_lines(trace: WalkTrace) -> Iterable[str]:
-    """Trace dump rows: n, letter, W, S, Xi, Ztilde, QV (header included)."""
+def trace_csv_lines(trace: WalkTrace, states: Sequence[CoupledState]) -> Iterable[str]:
+    """Trace dump rows: n, letter, W, S, Xi, Ztilde, QV (header included).
+
+    states is coupled_states_along(trace), which the caller usually needs
+    for its own summary as well.
+    """
     yield TRACE_CSV_HEADER
-    for g, st in zip(trace.letters, coupled_states_along(trace)):
+    for g, st in zip(trace.letters, states):
         yield (
             f"{st.n},{g},{st.W},{st.S},"
             f"{st.Xi:.12g},{st.Ztilde:.12g},{st.QV:.12g}"

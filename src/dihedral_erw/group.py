@@ -8,6 +8,7 @@ position is a reduced word whose letters strictly alternate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -84,6 +85,17 @@ class GroupWord:
         return self.letters() or "e"
 
 
+@lru_cache(maxsize=4096)
+def _word(length: int, first: Optional[str]) -> GroupWord:
+    """The shared GroupWord(length, first).
+
+    Words are frozen, so one object per visited word can stand for every
+    occurrence of it; a walk of n steps visits O(sqrt(n)) words, so the
+    cache spares the walk almost every construction.
+    """
+    return GroupWord(length, first)
+
+
 def reduce_left_multiply(g: str, w: GroupWord) -> GroupWord:
     """Reduced form of g*w for a generator g and a reduced word w.
 
@@ -93,12 +105,12 @@ def reduce_left_multiply(g: str, w: GroupWord) -> GroupWord:
     if g not in LETTERS:
         raise ValueError(f"not a generator: {g!r}")
     if w.length == 0:
-        return GroupWord(1, g)
+        return _word(1, g)
     if w.first == g:
         if w.length == 1:
-            return GroupWord.identity()
-        return GroupWord(w.length - 1, complement(g))
-    return GroupWord(w.length + 1, g)
+            return _word(0, None)
+        return _word(w.length - 1, complement(g))
+    return _word(w.length + 1, g)
 
 
 def word_metric(w: GroupWord) -> int:
@@ -170,6 +182,11 @@ def step_prob_a(q, W, n):
     return 0.5 + (0.5 * q) * (W / max(n, 1))
 
 
+def _letter(u: float, q: float, W: int, n: int) -> str:
+    """The letter a uniform u in [0, 1) selects after n steps with W = #a - #b."""
+    return "a" if u < step_prob_a(q, W, n) else "b"
+
+
 def sample_next_letter(A: int, B: int, n: int, params: MemoryParams, rng) -> str:
     """Draw the next step letter given the running counts A (a's) and B (b's).
 
@@ -180,7 +197,7 @@ def sample_next_letter(A: int, B: int, n: int, params: MemoryParams, rng) -> str
     """
     if A < 0 or B < 0 or A + B != n:
         raise ValueError(f"counts A={A}, B={B} inconsistent with n={n}")
-    return "a" if rng.random() < step_prob_a(params.q, A - B, n) else "b"
+    return _letter(rng.random(), params.q, A - B, n)
 
 
 @dataclass
@@ -217,18 +234,21 @@ class WalkTrace:
 def simulate_walk(params: MemoryParams, steps: int, rng) -> WalkTrace:
     """Simulate one elephant path of the given length.
 
-    Every letter, the uniform first one included, is drawn by
-    sample_next_letter from the counts so far.  One uniform draw is
-    consumed per step, which pins the path to the injected stream.
+    Every letter, the uniform first one included, is chosen by the
+    sampler of sample_next_letter from the counts so far.  One uniform
+    per step is consumed, all of them in one rng.random(steps) fill, which
+    gives the same doubles as successive scalar draws; that pins the path
+    to the injected stream.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    trace = WalkTrace(params=params, positions=[GroupWord.identity()])
-    a_count = 0
-    for n in range(steps):
-        g = sample_next_letter(a_count, n - a_count, n, params, rng)
-        if g == "a":
-            a_count += 1
-        trace.letters.append(g)
-        trace.positions.append(reduce_left_multiply(g, trace.positions[-1]))
-    return trace
+    q = params.q
+    letters = []
+    positions = [_word(0, None)]
+    W = 0
+    for n, u in enumerate(rng.random(steps).tolist()):
+        g = _letter(u, q, W, n)
+        W += 1 if g == "a" else -1
+        letters.append(g)
+        positions.append(reduce_left_multiply(g, positions[-1]))
+    return WalkTrace(params=params, letters=letters, positions=positions)

@@ -69,16 +69,33 @@ class TestAdvance:
         params = MemoryParams.from_q(q)
         trace = simulate_walk(params, 2000, replication_stream(5, 0))
         s_vals = trace.signed_locations()
-        for k, state in enumerate(coupled_states_along(trace), start=1):
+        states = coupled_states_along(trace)
+        for k, state in enumerate(states, start=1):
             assert state.S == s_vals[k]
             assert abs(state.S - state.Xi - q * state.Ztilde) < 1e-12
-        final = coupled_states_along(trace)[-1]
+        final = states[-1]
         wsq = 0.0
         w = 0
         for k, g in enumerate(trace.letters[:-1], start=1):
             w += 1 if g == "a" else -1
             wsq += (w / k) ** 2
         assert abs(final.QV - (trace.n - q * q * wsq)) < 1e-12
+
+    def test_states_are_immutable(self):
+        st1 = advance(initial_state(), "a", MemoryParams.from_q(0.5))
+        with pytest.raises(AttributeError):
+            st1.W = 3
+        with pytest.raises(AttributeError):
+            st1.xi_comp = 1.0
+        assert st1 == advance(initial_state(), "a", MemoryParams.from_q(0.5))
+
+    @pytest.mark.parametrize("where", (0, 4, 8))
+    def test_chain_rejects_a_non_generator_anywhere(self, where):
+        letters = list(PATH_LETTERS)
+        letters[where] = "c"
+        trace = WalkTrace(params=MemoryParams.from_q(0.3), letters=letters)
+        with pytest.raises(ValueError, match="not a generator: 'c'"):
+            coupled_states_along(trace)
 
     def test_zero_memory_kills_corrections(self):
         params = MemoryParams.from_q(0.0)
@@ -247,10 +264,12 @@ class TestCouplingCheckLiveness:
 
 def test_trace_csv_schema():
     trace = trace_from_letters(PATH_LETTERS, MemoryParams.from_p(0.75))
-    lines = list(trace_csv_lines(trace))
+    states = coupled_states_along(trace)
+    lines = list(trace_csv_lines(trace, states))
     assert lines[0] == "n,letter,W,S,Xi,Ztilde,QV"
     assert len(lines) == 10
     first = lines[1].split(",")
     assert first[:4] == ["1", "a", "1", "1"]
+    assert [ln.split(",")[3] for ln in lines[1:]] == [str(s) for s in PATH_S]
     # deterministic formatting: re-rendering gives identical bytes
-    assert lines == list(trace_csv_lines(trace))
+    assert lines == list(trace_csv_lines(trace, coupled_states_along(trace)))

@@ -64,6 +64,12 @@ class TestReduceLeftMultiply:
     def test_length_changes_by_one(self, g, w):
         assert abs(reduce_left_multiply(g, w).length - w.length) == 1
 
+    @given(letters, reduced_words())
+    def test_interned_words_equal_fresh_words(self, g, w):
+        out = reduce_left_multiply(g, w)
+        assert out == GroupWord(out.length, out.first)
+        assert out is reduce_left_multiply(g, w)
+
 
 class TestWordBasics:
     def test_metric(self):
@@ -205,8 +211,8 @@ class TestSimulateWalk:
         assert list(trace.word_metrics()) == [0] + [1, 0] * 10
 
     def test_invariants_hold(self):
-        for q in (-1.0, -0.3, 0.0, 0.6):
-            trace = simulate_walk(MemoryParams.from_q(q), 500, replication_stream(11, 0))
+        for q, steps in ((-1.0, 500), (-0.3, 500), (0.0, 500), (0.6, 500), (0.5, 10_000)):
+            trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(11, 0))
             trace.check_invariants()
 
     def test_single_step_uniform(self):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dihedral_erw import montecarlo
-from dihedral_erw.coupling import advance, encode_increment, initial_state
-from dihedral_erw.group import MemoryParams, step_prob_a
+from dihedral_erw.coupling import advance, coupled_states_along, encode_increment, initial_state
+from dihedral_erw.group import MemoryParams, simulate_walk, step_prob_a
 from dihedral_erw.moments import r_norm
 from dihedral_erw.montecarlo import (
     LIL_START,
@@ -93,12 +93,7 @@ class TestEngine:
             qsl = 0.0
             lil_pos = lil_neg = -math.inf
             for m in range(1, 301):
-                n = m - 1
-                u = stream.random()
-                if n == 0:
-                    g = "a" if u < 0.5 else "b"
-                else:
-                    g = "a" if u < step_prob_a(q, st.W, n) else "b"
+                g = "a" if stream.random() < step_prob_a(q, st.W, m - 1) else "b"
                 st = advance(st, g, params)
                 qsl += (st.S / m) ** 2
                 if m >= LIL_START:
@@ -112,6 +107,26 @@ class TestEngine:
             assert st.QV == ens.QV[i]
             assert qsl == ens.qsl_sum[i]
             assert (lil_pos, lil_neg) == (ens.lil_pos[i], ens.lil_neg[i])
+
+    @pytest.mark.parametrize("q", [-1.0, 0.0, 0.3, 1.0])
+    def test_public_chain_matches_engine(self, q):
+        # simulate_walk + coupled_states_along, the scalar reference, on the
+        # engine's row streams; and coupled_states_along against advance
+        params = MemoryParams.from_q(q)
+        steps, snap_steps = 2000, (1, 2, 999, 1999, 2000)
+        ens = sample_paths(q, steps, 3, SEED, snapshot_steps=snap_steps)
+        for i in range(3):
+            trace = simulate_walk(params, steps, replication_stream(SEED, i))
+            states = coupled_states_along(trace)
+            last = states[-1]
+            assert ((last.W, last.S, last.Xi, last.Ztilde, last.QV)
+                    == (ens.W[i], ens.S[i], ens.Xi[i], ens.Ztilde[i], ens.QV[i]))
+            for m in snap_steps:
+                assert states[m - 1].S == ens.snapshots[m][i]
+            st = initial_state()
+            for g, state in zip(trace.letters, states, strict=True):
+                st = advance(st, g, params)
+                assert st == state
 
     @pytest.mark.parametrize("q", (-0.5, 0.3, 0.8))
     def test_splits_exactly_at_step_prob_a(self, monkeypatch, fresh_store, q):
