@@ -130,6 +130,12 @@ class TestEnumerate:
         assert payload["n"] == 40 and payload["coupling_ok"] is True
         assert payload["E_W2"] == pytest.approx(h_moment(40, 0.3), rel=1e-13)
 
+    def test_full_memory_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--p", "1", "--n", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestMoments:
     def test_csv_to_stdout(self, capsys):
