@@ -25,7 +25,6 @@ from .coupling import (
     coupled_states_along,
     encode_increment,
     exhaustive_coupling_check,
-    initial_state,
     reconstruct_w_from_s,
     trace_csv_lines,
     verify_coupling,
@@ -33,9 +32,7 @@ from .coupling import (
 from .moments import (
     EnumerationResult,
     MomentTable,
-    cov_w,
     enumerate_exact,
-    h_closed_form,
     h_moment,
     h_moment_table,
     i_factor,

@@ -34,10 +34,11 @@ def encode_increment(n: int, g: str) -> int:
 class CoupledState(NamedTuple):
     """Running record of the coupled processes after n steps.
 
-    The float accumulators carry Kahan compensation terms (and QV keeps its
-    correction sum separately) so the pathwise identities below survive to
-    1e-12 even on paths of length 1e5.  The letter counts are
-    A = (n + W)/2 and B = (n - W)/2.
+    The float accumulators carry Kahan compensation terms, and the QV
+    correction sum a Neumaier one, so the pathwise identities below survive
+    to 1e-12 even on paths of length 1e5.  QV is not stored: it is derived
+    from the correction sum and its compensation term.  The letter counts
+    are A = (n + W)/2 and B = (n - W)/2.
     """
 
     n: int = 0
@@ -45,11 +46,15 @@ class CoupledState(NamedTuple):
     S: int = 0
     Xi: float = 0.0
     Ztilde: float = 0.0
-    QV: float = 0.0
     xi_comp: float = 0.0
     zt_comp: float = 0.0
     qv_corr: float = 0.0  # running sum of q^2 W_k^2 / k^2
     qv_comp: float = 0.0
+
+    @property
+    def QV(self) -> float:
+        """<Xi>_n = n - q^2 sum_{k<n} W_k^2/k^2."""
+        return self.n - (self.qv_corr + self.qv_comp)
 
     def validate(self) -> None:
         if self.n < 0:
@@ -58,10 +63,6 @@ class CoupledState(NamedTuple):
             raise ValueError("W out of range or with wrong parity")
         if abs(self.S) > self.n or (self.S - self.n) % 2 != 0:
             raise ValueError("S out of range or with wrong parity")
-
-
-def initial_state() -> CoupledState:
-    return CoupledState()
 
 
 def _kahan_add(total: float, comp: float, inc: float) -> tuple:
@@ -99,9 +100,8 @@ def _step(state: CoupledState, dw: int, q: float) -> CoupledState:
     xi, xi_comp = _kahan_add(state.Xi, state.xi_comp, ds - drift)
     zt, zt_comp = _kahan_add(state.Ztilde, state.zt_comp, zt_inc)
     qv_corr, qv_comp = _neumaier_add(state.qv_corr, state.qv_comp, qv_inc)
-    n_new = n + 1
-    return CoupledState(n_new, state.W + dw, state.S + ds, xi, zt,
-                        n_new - (qv_corr + qv_comp), xi_comp, zt_comp, qv_corr, qv_comp)
+    return CoupledState(n + 1, state.W + dw, state.S + ds, xi, zt,
+                        xi_comp, zt_comp, qv_corr, qv_comp)
 
 
 def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
@@ -155,7 +155,7 @@ def coupled_states_along(trace: WalkTrace) -> list:
             raise ValueError(f"not a generator: {g!r}")
     q = trace.params.q
     states = []
-    st = initial_state()
+    st = CoupledState()
     for g in trace.letters:
         st = _step(st, 1 if g == "a" else -1, q)
         states.append(st)

@@ -9,11 +9,12 @@ which is taken as the defining computation (h_moment_table solves it in
 blocks of k by cumulative products and sums; var_ztilde_exact solves the
 recursion for G_k = E[Ztilde_k W_k] the same way).  The closed form
 H = k/(2q - 1) ((2q)_k/k! - 1) costs O(k) per value and needs a separate
-limit at q = 1/2, so it serves only as a cross-check.  Gamma functions
-enter only as ratios at integer-spaced arguments, all of them values of
-I(k, q) from i_factor_table's running product (the beta prefactors of J1
-and J2, cov_w's Pochhammer ratio); the one gamma value, that product's
-anchor, comes from math.lgamma.
+limit at q = 1/2, so it is only a cross-check, kept with the tests in
+tests/oracles.py.  Gamma functions enter only as ratios at integer-spaced
+arguments, all of them values of I(k, q) from i_factor_table's running
+product (the beta prefactors of J1 and J2, and the Pochhammer ratio of the
+covariance oracle in tests/oracles.py); the one gamma value, that
+product's anchor, comes from math.lgamma.
 
 enumerate_exact is the independent oracle for all of these: W is a Markov
 chain on the a-count and S, Ztilde are additive functionals of its path,
@@ -78,25 +79,6 @@ def h_moment_table(n: int, q: float) -> np.ndarray:
     return out
 
 
-def h_closed_form(k: int, q: float) -> float:
-    """Closed form k/(2q - 1) ((2q)_k/k! - 1) for H(k, q); cross-check only.
-
-    (2q)_k/k! is the running product of (2q + j)/(j + 1), j = 0..k-1, so it
-    is exact where a factor vanishes (q in {0, -1/2, -1}).  At q = 1/2 the
-    formula is 0/0 and its limit, k times the harmonic sum, is returned.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    q = _check_q(q)
-    if q == 0.5:
-        return k * sum(1.0 / j for j in range(1, k + 1))
-    two_q = 2.0 * q
-    ratio = 1.0
-    for j in range(k):
-        ratio *= (two_q + j) / (j + 1)
-    return k / (two_q - 1.0) * (ratio - 1.0)
-
-
 def i_factor(k: int, q: float) -> float:
     """Normaliser I(k, q) = Gamma(k+1) / (Gamma(k+q) Gamma(1-q)).
 
@@ -133,28 +115,10 @@ def i_factor_table(n: int, q: float) -> np.ndarray:
     return out
 
 
-def cov_w(k: int, l: int, q: float) -> float:
-    """E[W_k W_l]: the Pochhammer-ratio propagation of H(min, q).
-
-    For k <= l the conditional mean of W_l given step k is W_k times the
-    running product of (1 + q/i), i = k..l-1, whence
-    E[W_k W_l] = [(k+q)_(l-k) / (k)_(l-k)] H(k, q), and the Pochhammer
-    ratio is l I(k, q) / (k I(l, q)).
-    """
-    if k < 1 or l < 1:
-        raise ValueError("indices must be at least 1")
-    q = _check_q(q)
-    if k > l:
-        k, l = l, k
-    i = i_factor_table(l, q)
-    ratio = float(l * i[k] / (k * i[l])) if k < l else 1.0  # k = l = 1, q = -1 is 0/0
-    return ratio * h_moment(k, q)
-
-
 def var_ztilde_exact(n: int, q: float) -> float:
     """E[Ztilde_{n+1}^2] for the alternating series Ztilde of W_k/k.
 
-    Ztilde_{k+1} = Ztilde_k + (-1)^k W_k/k (as in coupling.advance) and
+    Ztilde_{k+1} = Ztilde_k + (-1)^k W_k/k (as in coupling._step) and
     E[W_{k+1} | F_k] = (1 + q/k) W_k, so G_k = E[Ztilde_k W_k] obeys G_1 = 0,
     G_{k+1} = (1 + q/k) (G_k + (-1)^k H_k/k), with H_k = H(k, q), and the
     value is sum_{k<=n} t_k, t_k = H_k/k^2 + 2 (-1)^k G_k/k.  The halves of
@@ -184,24 +148,6 @@ def var_ztilde_exact(n: int, q: float) -> float:
                  + ((1.0 - 2.0 * q) * hp / kp**2 + 1.0) / (kp + 1.0) ** 2)
         sums.append(float(np.sum(pairs)))
     return math.fsum(sums)
-
-
-def _var_ztilde_double_sum(n: int, q: float) -> float:
-    """E[Ztilde_{n+1}^2] as the double sum, in O(n^2); small-n oracle:
-
-        sum_{k=1}^{n} (H(k,q)/k^2) (1 + 2 sum_{l=1}^{n-k} (-1)^l (k+q)_l/(k+1)_l)
-    """
-    q = _check_q(q)
-    h = h_moment_table(n, q)
-    total = []
-    for k in range(1, n + 1):
-        inner = [1.0]
-        ratio = 1.0
-        for l in range(1, n - k + 1):
-            ratio *= (k + q + l - 1) / (k + l)
-            inner.append(2.0 * (-1.0) ** l * ratio)
-        total.append(h[k] / k**2 * math.fsum(inner))
-    return math.fsum(total)
 
 
 def t1(n: int, q: float) -> float:

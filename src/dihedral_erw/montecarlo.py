@@ -376,16 +376,6 @@ def ks_normal_test(samples, alpha: float = 0.01) -> KSResult:
     return KSResult(statistic=stat, threshold=threshold, passed=stat < threshold)
 
 
-def qsl_statistic(s_path) -> float:
-    """(1/log n) * sum_k S_k^2 / k^2 along one path (S_1..S_n)."""
-    s = np.asarray(s_path, dtype=float)
-    n = s.size
-    if n < 2:
-        raise ValueError("need a path of length at least 2")
-    k = np.arange(1, n + 1, dtype=float)
-    return float(np.sum((s / k) ** 2) / math.log(n))
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     fitted_slope: float

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from dihedral_erw import coupling
 from dihedral_erw.coupling import (
+    CoupledState,
     advance,
     conditional_step_prob,
     coupled_states_along,
     encode_increment,
     exhaustive_coupling_check,
-    initial_state,
     reconstruct_w_from_s,
     trace_csv_lines,
     verify_coupling,
@@ -52,14 +52,12 @@ class TestEncodeIncrement:
 
 class TestAdvance:
     def test_first_step_conventions(self):
-        st0 = initial_state()
+        st0 = CoupledState()
         st1 = advance(st0, "a", MemoryParams.from_q(0.5))
         assert (st1.n, st1.W, st1.S) == (1, 1, 1)
         assert st1.Xi == 1.0 and st1.Ztilde == 0.0 and st1.QV == 1.0
 
     def test_rejects_inconsistent_state(self):
-        from dihedral_erw.coupling import CoupledState
-
         bad = CoupledState(n=2, W=1, S=0)  # W_n has the parity of n
         with pytest.raises(ValueError):
             advance(bad, "a", MemoryParams.from_q(0.0))
@@ -82,12 +80,12 @@ class TestAdvance:
         assert abs(final.QV - (trace.n - q * q * wsq)) < 1e-12
 
     def test_states_are_immutable(self):
-        st1 = advance(initial_state(), "a", MemoryParams.from_q(0.5))
+        st1 = advance(CoupledState(), "a", MemoryParams.from_q(0.5))
         with pytest.raises(AttributeError):
             st1.W = 3
         with pytest.raises(AttributeError):
             st1.xi_comp = 1.0
-        assert st1 == advance(initial_state(), "a", MemoryParams.from_q(0.5))
+        assert st1 == advance(CoupledState(), "a", MemoryParams.from_q(0.5))
 
     @pytest.mark.parametrize("where", (0, 4, 8))
     def test_chain_rejects_a_non_generator_anywhere(self, where):
@@ -99,7 +97,7 @@ class TestAdvance:
 
     def test_zero_memory_kills_corrections(self):
         params = MemoryParams.from_q(0.0)
-        st_ = initial_state()
+        st_ = CoupledState()
         stream = replication_stream(8, 0)
         for m in range(1, 300):
             g = "a" if stream.random() < 0.5 else "b"
@@ -111,7 +109,7 @@ class TestAdvance:
         # martingale increments stay within 2 in absolute value
         for q in (-1.0, 0.8):
             params = MemoryParams.from_q(q)
-            st_ = initial_state()
+            st_ = CoupledState()
             stream = replication_stream(21, 0)
             prev = 0.0
             for m in range(1, 500):
@@ -123,12 +121,12 @@ class TestAdvance:
 
 class TestConditionalStepProb:
     def test_memoryless(self):
-        st1 = advance(initial_state(), "a", MemoryParams.from_q(0.0))
+        st1 = advance(CoupledState(), "a", MemoryParams.from_q(0.0))
         assert conditional_step_prob(st1, MemoryParams.from_q(0.0)) == (0.5, 0.5)
 
     def test_worked_value(self):
         # n=1, W=1, q=0.5: P(up) = 1/2 - 0.5/2 = 0.25
-        st1 = advance(initial_state(), "a", MemoryParams.from_q(0.5))
+        st1 = advance(CoupledState(), "a", MemoryParams.from_q(0.5))
         up, down = conditional_step_prob(st1, MemoryParams.from_q(0.5))
         assert up == 0.25 and down == 0.75
 
@@ -147,20 +145,20 @@ class TestConditionalStepProb:
     def test_boundary_saturation(self):
         # q=-1 with W=n pins the next move
         params = MemoryParams.from_q(-1.0)
-        st_ = initial_state()
+        st_ = CoupledState()
         st_ = advance(st_, "a", params)
         up, down = conditional_step_prob(st_, params)
         assert (up, down) == (1.0, 0.0)
 
     def test_first_step_is_uniform(self):
         for q in (-1.0, -0.5, 0.0, 0.3, 1.0):
-            assert conditional_step_prob(initial_state(), MemoryParams.from_q(q)) == (0.5, 0.5)
+            assert conditional_step_prob(CoupledState(), MemoryParams.from_q(q)) == (0.5, 0.5)
 
     def test_martingale_increment_mean_zero_exact(self):
         # E[xi | state] = 0 algebraically for every reachable state
         for q in (-0.5, 0.3, 0.8):
             params = MemoryParams.from_q(q)
-            st_ = initial_state()
+            st_ = CoupledState()
             stream = replication_stream(13, 0)
             for m in range(1, 200):
                 g = "a" if stream.random() < 0.5 else "b"

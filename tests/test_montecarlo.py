@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from dihedral_erw import montecarlo
-from dihedral_erw.coupling import advance, coupled_states_along, encode_increment, initial_state
+from dihedral_erw.coupling import CoupledState, advance, coupled_states_along, encode_increment
 from dihedral_erw.group import MemoryParams, simulate_walk, step_prob_a
 from dihedral_erw.moments import r_norm
 from dihedral_erw.montecarlo import (
     LIL_START,
     ks_normal_test,
-    qsl_statistic,
     replication_stream,
     sample_paths,
     t2_rate_fit,
 )
+from oracles import qsl_statistic
 
 SEED = 2
 
@@ -88,7 +88,7 @@ class TestEngine:
         ens = sample_paths(q, 300, 4, SEED, collect=("qsl", "lil", "doob"),
                            snapshot_steps=snap_steps)
         for i in range(4):
-            st = initial_state()
+            st = CoupledState()
             stream = replication_stream(SEED, i)
             qsl = 0.0
             lil_pos = lil_neg = -math.inf
@@ -123,7 +123,7 @@ class TestEngine:
                     == (ens.W[i], ens.S[i], ens.Xi[i], ens.Ztilde[i], ens.QV[i]))
             for m in snap_steps:
                 assert states[m - 1].S == ens.snapshots[m][i]
-            st = initial_state()
+            st = CoupledState()
             for g, state in zip(trace.letters, states, strict=True):
                 st = advance(st, g, params)
                 assert st == state
@@ -137,7 +137,7 @@ class TestEngine:
         choose = np.random.default_rng(1).random(steps) < 0.5
         u, s_path, w = np.empty(steps), [], 0
         for n in range(steps):
-            p = 0.5 if n == 0 else step_prob_a(q, w, n)
+            p = step_prob_a(q, w, n)
             u[n] = np.nextafter(p, 0.0) if choose[n] else p
             w += 1 if choose[n] else -1
             s_path.append((s_path[-1] if n else 0) + encode_increment(n + 1, "a" if choose[n] else "b"))
@@ -344,17 +344,8 @@ class TestQSL:
 
     def test_engine_agrees_with_direct_formula(self):
         ens = sample_paths(0.3, 500, 3, 17, collect=("qsl",))
-        st = initial_state()
-        stream = replication_stream(17, 0)
-        s_path = []
-        params = MemoryParams.from_q(0.3)
-        for m in range(1, 501):
-            n = m - 1
-            u = stream.random()
-            g = ("a" if u < 0.5 else "b") if n == 0 else (
-                "a" if u < 0.5 + (0.5 * 0.3) * (st.W / n) else "b")
-            st = advance(st, g, params)
-            s_path.append(st.S)
+        trace = simulate_walk(MemoryParams.from_q(0.3), 500, replication_stream(17, 0))
+        s_path = [st.S for st in coupled_states_along(trace)]
         assert qsl_statistic(s_path) == pytest.approx(ens.qsl()[0], rel=1e-12)
 
 
