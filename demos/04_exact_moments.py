@@ -39,6 +39,7 @@ print("\nT2 alone fades with the horizon (alternating-tail decay):")
 for n in (100, 1000, 10_000, 100_000):
     print(f"  n={n:<7d} T2={t2(n, 0.5):+.3e}")
 
-print("\nmoment table head (CSV schema k,H,I,a_k):")
-for line in list(MomentTable.build(5, 0.5).csv_lines()):
-    print(" ", line)
+print("\nmoment table head (the columns of `derw moments`):")
+table = MomentTable.build(5, 0.5)
+for k, h, i, a in zip(table.k, table.H, table.I, table.a):
+    print(f"  k={k}  H={h:<10.6f} I={i:.6f}  a_k={a:.6f}")

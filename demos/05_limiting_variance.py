@@ -13,7 +13,7 @@ import numpy as np
 
 from dihedral_erw import var_z_infinity, var_ztilde_infinity, var_ztilde_exact
 from dihedral_erw.montecarlo import sample_paths
-from dihedral_erw.quadrature import figure_csv_lines, figure_grid
+from dihedral_erw.quadrature import figure_grid
 
 print("q      var(Ztilde_inf)  var(Z_inf) = q^2 * var(Ztilde_inf)")
 for q in (-1.0, -0.5, 0.0, 0.3, 0.5, 0.7, 0.9):
@@ -39,6 +39,6 @@ ens = sample_paths(0.5, 100_000, 2000, 3)
 print(f"\nMC sample variance of Ztilde at q=0.5, n=1e5: {np.var(ens.Ztilde, ddof=1):.5f} "
       f"vs integral {mid:.5f}")
 
-print("\nfigure-grid CSV (head):")
-for line in list(figure_csv_lines(figure_grid(-1.0, 0.9, 0.25)))[:6]:
-    print(" ", line)
+print("\nfigure grid (head; `derw figure` writes these rows as CSV):")
+for row in figure_grid(-1.0, 0.9, 0.25)[:5]:
+    print(f"  q={row.q:+.2f}  var(Z_inf)={row.var_z_infinity:.10f}  abs_err={row.abs_err:.1e}")

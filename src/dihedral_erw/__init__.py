@@ -26,7 +26,6 @@ from .coupling import (
     encode_increment,
     exhaustive_coupling_check,
     reconstruct_w_from_s,
-    trace_csv_lines,
     verify_coupling,
 )
 from .moments import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable
 
 import numpy as np
 
@@ -301,13 +301,3 @@ QUICK_CRITERIA = (
     criterion_3_t1_t2_identity,
     criterion_10_hypergeometric,
 )
-
-
-def run_acceptance(quick: bool = False) -> List[CriterionResult]:
-    """Run the suite, printing one pass/fail line per criterion."""
-    results = []
-    for fn in (QUICK_CRITERIA if quick else ALL_CRITERIA):
-        res = fn()
-        results.append(res)
-        print(res.line())
-    return results

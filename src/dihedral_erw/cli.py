@@ -1,11 +1,15 @@
 """Command-line interface: simulation, exact computation, quadrature, verification.
 
 Exit codes: 0 success, 1 numerical failure (JSON error record on stdout),
-2 usage error, which covers every argument the library rejects (its
-message on stderr, nothing on stdout).  The CLI checks no numeric domain
-itself: each input is checked once, by the library function that owns it.
-All output is locale-independent; floats are printed with 12 significant
-digits in CSV files.
+2 usage error, which covers every argument the library rejects and an
+output path that cannot be written (the message on stderr, nothing on
+stdout).  The CLI checks no numeric domain itself: each input is checked
+once, by the library function that owns it.
+
+This module is the package's only writer: the library returns values, and
+the commands here turn them into CSV, JSON and the verify report.  All
+output is locale-independent; _csv_lines prints floats with 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -15,21 +19,16 @@ import json
 import sys
 from typing import Optional
 
-from .acceptance import run_acceptance
-from .coupling import coupled_states_along, trace_csv_lines, verify_coupling
+from .acceptance import ALL_CRITERIA, QUICK_CRITERIA
+from .coupling import coupled_states_along, verify_coupling
 from .group import MemoryParams, signed_location, simulate_walk, word_metric
 from .moments import MomentTable, enumerate_exact, var_ztilde_exact
 from .montecarlo import replication_stream
-from .quadrature import (
-    QuadratureError,
-    figure_csv_lines,
-    figure_grid,
-    var_ztilde_infinity_result,
-)
+from .quadrature import QuadratureError, figure_grid, var_ztilde_infinity_result
 
 
-def _add_memory_args(sp, required: bool = True):
-    grp = sp.add_mutually_exclusive_group(required=required)
+def _add_memory_args(sp):
+    grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--p", type=float, help="memory parameter p in [0, 1]")
     grp.add_argument("--q", type=float, help="centred memory parameter q = 2p - 1")
 
@@ -38,13 +37,27 @@ def _params_from_args(args) -> MemoryParams:
     return MemoryParams.from_p(args.p) if args.p is not None else MemoryParams.from_q(args.q)
 
 
+def _csv_lines(header: str, rows):
+    """The header, then one line per row: floats to 12 significant digits, the rest by str.
+
+    numpy float64 is a float and int64 is not, so table columns print like
+    Python floats and ints.
+    """
+    yield header
+    for row in rows:
+        yield ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+
+
 def _write_lines(lines, path: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +128,9 @@ def _cmd_simulate(args) -> int:
     trace = simulate_walk(params, args.steps, rng)
     states = coupled_states_along(trace)
     if args.trace:
-        _write_lines(trace_csv_lines(trace, states), args.trace)
+        rows = ((st.n, g, st.W, st.S, st.Xi, st.Ztilde, st.QV)
+                for g, st in zip(trace.letters, states))
+        _write_lines(_csv_lines("n,letter,W,S,Xi,Ztilde,QV", rows), args.trace)
     final = states[-1]
     summary = {
         "p": params.p,
@@ -138,13 +153,25 @@ def _cmd_simulate(args) -> int:
 def _cmd_enumerate(args) -> int:
     cov_pairs = ((1, 2),) if args.n >= 2 else ()
     res = enumerate_exact(args.n, _params_from_args(args), cov_pairs)
-    print(res.to_json())
+    payload = {
+        "n": res.n,
+        "q": res.q,
+        "prob_total": res.prob_total,
+        "E_S": res.e_s,
+        "E_S2": res.e_s2,
+        "E_W2": res.e_w2,
+        "E_Ztilde2": res.e_ztilde2,
+        "cov_W": {f"{k},{l}": v for (k, l), v in res.cov_w_pairs.items()},
+        "coupling_ok": res.coupling_ok,
+    }
+    print(json.dumps(payload, indent=2))
     return 0
 
 
 def _cmd_moments(args) -> int:
     table = MomentTable.build(args.n_max, _params_from_args(args).q)
-    _write_lines(table.csv_lines(), args.out)
+    rows = zip(table.k, table.H, table.I, table.a)
+    _write_lines(_csv_lines("k,H,I,a_k", rows), args.out)
     return 0
 
 
@@ -171,14 +198,19 @@ def _cmd_variance(args) -> int:
 def _cmd_figure(args) -> int:
     rows = figure_grid(args.q_min, args.q_max, args.step, tol=args.tol)
     failed = [r.q for r in rows if not r.ok]
-    _write_lines(figure_csv_lines(rows), args.out)
+    lines = _csv_lines("q,var_Z_infinity,abs_err",
+                       ((r.q, r.var_z_infinity, r.abs_err) for r in rows))
+    _write_lines(lines, args.out)
     if failed:
         print(f"warning: quadrature failed at q = {failed}", file=sys.stderr)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    results = run_acceptance(quick=args.quick)
+    results = []
+    for criterion in (QUICK_CRITERIA if args.quick else ALL_CRITERIA):
+        results.append(criterion())
+        print(results[-1].line())
     n_fail = sum(1 for r in results if not r.passed)
     total = sum(r.seconds for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed in {total:.0f}s")

@@ -14,7 +14,7 @@ variation of Xi is <Xi>_n = n - q^2 * sum_{k<n} W_k^2/k^2.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, reduce_left_multiply,
                     signed_location, step_prob_a)
@@ -202,20 +202,3 @@ def exhaustive_coupling_check(depth: int) -> int:
                 nxt[word_g, s_g] = nxt.get((word_g, s_g), 0) + count
         layer = nxt
     return sum(layer.values())
-
-
-TRACE_CSV_HEADER = "n,letter,W,S,Xi,Ztilde,QV"
-
-
-def trace_csv_lines(trace: WalkTrace, states: Sequence[CoupledState]) -> Iterable[str]:
-    """Trace dump rows: n, letter, W, S, Xi, Ztilde, QV (header included).
-
-    states is coupled_states_along(trace), which the caller usually needs
-    for its own summary as well.
-    """
-    yield TRACE_CSV_HEADER
-    for g, st in zip(trace.letters, states):
-        yield (
-            f"{st.n},{g},{st.W},{st.S},"
-            f"{st.Xi:.12g},{st.Ztilde:.12g},{st.QV:.12g}"
-        )

@@ -24,7 +24,6 @@ the step law alone, in O(n^2) operations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -209,11 +208,6 @@ class MomentTable:
         k = np.arange(1, n + 1)
         return cls(q=float(q), k=k, H=h, I=i, a=h * i / k.astype(float) ** 2)
 
-    def csv_lines(self):
-        yield "k,H,I,a_k"
-        for k, h, i, a in zip(self.k, self.H, self.I, self.a):
-            yield f"{k},{h:.12g},{i:.12g},{a:.12g}"
-
 
 @dataclass
 class EnumerationResult:
@@ -233,20 +227,6 @@ class EnumerationResult:
     e_s_by_step: np.ndarray = field(repr=False, default=None)
     e_s2_by_step: np.ndarray = field(repr=False, default=None)
     e_ztilde2_by_step: np.ndarray = field(repr=False, default=None)
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "q": self.q,
-            "prob_total": self.prob_total,
-            "E_S": self.e_s,
-            "E_S2": self.e_s2,
-            "E_W2": self.e_w2,
-            "E_Ztilde2": self.e_ztilde2,
-            "cov_W": {f"{k},{l}": v for (k, l), v in self.cov_w_pairs.items()},
-            "coupling_ok": self.coupling_ok,
-        }
-        return json.dumps(payload, indent=2)
 
 
 def _forward(pa, pb, xa, xb):

@@ -253,9 +253,6 @@ class FigureRow:
     ok: bool = True
 
 
-FIGURE_CSV_HEADER = "q,var_Z_infinity,abs_err"
-
-
 def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TOL):
     """Rows (q, limit variance of Z, abs error) over a q grid.
 
@@ -294,9 +291,3 @@ def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TO
                 FigureRow(q=qv, var_z_infinity=math.nan, abs_err=math.inf, ok=False)
             )
     return rows
-
-
-def figure_csv_lines(rows):
-    yield FIGURE_CSV_HEADER
-    for r in rows:
-        yield f"{r.q:.12g},{r.var_z_infinity:.12g},{r.abs_err:.12g}"

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -77,6 +78,9 @@ class TestSimulate:
         assert payload["coupling_verified"] is True
         lines = trace_file.read_text().strip().splitlines()
         assert lines[0] == "n,letter,W,S,Xi,Ztilde,QV"
+        assert len(lines) == 11
+        n, g, w, s = lines[1].split(",")[:4]
+        assert n == "1" and w == s == {"a": "1", "b": "-1"}[g]
         dist = [abs(int(ln.split(",")[3])) for ln in lines[1:]]
         assert dist == [1, 0] * 5
 
@@ -198,6 +202,20 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "derw: error: " in captured.err
 
+    @pytest.mark.parametrize("argv", (
+        ("moments", "--q", "0.3", "--n-max", "3", "--out", "{missing}/m.csv"),
+        ("simulate", "--q", "0.3", "--steps", "5", "--trace", "{missing}/t.csv"),
+        ("figure", "--q-min", "0", "--q-max", "0.2", "--step", "0.1", "--out", "{dir}"),
+    ), ids=("moments-missing-dir", "simulate-missing-dir", "figure-out-is-dir"))
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "derw: error: cannot write " in captured.err
+
     def test_missing_memory_parameter(self):
         with pytest.raises(SystemExit) as exc:
             main(["variance"])
@@ -228,6 +246,33 @@ class TestUsageErrors:
                       *(x for kv in args.items() for x in kv)])
             assert exc.value.code == 2
             assert not out.exists()
+
+
+PACKAGE_SRC = Path(__file__).resolve().parent.parent / "src" / "dihedral_erw"
+
+
+def writer_uses(path):
+    """(line, what) for each json import and each print or open call in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "json" for m in modules):
+            yield node.lineno, "import json"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("print", "open")):
+            yield node.lineno, node.func.id
+
+
+def test_only_the_cli_writes():
+    # serialising is a CLI decision: the other modules return values
+    assert list(writer_uses(PACKAGE_SRC / "cli.py")), "the scan misses the writes in cli.py"
+    stray = [f"{path.name}:{line} {what}" for path in sorted(PACKAGE_SRC.glob("*.py"))
+             if path.name != "cli.py" for line, what in writer_uses(path)]
+    assert not stray, f"output outside cli.py: {stray}"
 
 
 class TestImports:

@@ -13,7 +13,6 @@ from dihedral_erw.coupling import (
     encode_increment,
     exhaustive_coupling_check,
     reconstruct_w_from_s,
-    trace_csv_lines,
     verify_coupling,
 )
 from dihedral_erw.group import GroupWord, MemoryParams, WalkTrace, reduce_left_multiply, simulate_walk
@@ -211,6 +210,7 @@ class TestVerifyCoupling:
         assert verify_coupling(trace)
         assert trace.positions[-1].letters() == "aba"
         assert list(trace.signed_locations())[1:] == PATH_S
+        assert [st.S for st in coupled_states_along(trace)] == PATH_S
 
     @pytest.mark.parametrize("q", [-1.0, 0.0, 0.9])
     def test_simulated_traces(self, q):
@@ -258,16 +258,3 @@ class TestCouplingCheckLiveness:
         with pytest.raises(AssertionError):
             exhaustive_coupling_check(10)
         assert not enumerate_exact(10, MemoryParams.from_q(0.3)).coupling_ok
-
-
-def test_trace_csv_schema():
-    trace = trace_from_letters(PATH_LETTERS, MemoryParams.from_p(0.75))
-    states = coupled_states_along(trace)
-    lines = list(trace_csv_lines(trace, states))
-    assert lines[0] == "n,letter,W,S,Xi,Ztilde,QV"
-    assert len(lines) == 10
-    first = lines[1].split(",")
-    assert first[:4] == ["1", "a", "1", "1"]
-    assert [ln.split(",")[3] for ln in lines[1:]] == [str(s) for s in PATH_S]
-    # deterministic formatting: re-rendering gives identical bytes
-    assert lines == list(trace_csv_lines(trace, coupled_states_along(trace)))

@@ -307,14 +307,6 @@ class TestEnumeration:
         res = enumerate_exact(12, MemoryParams.from_q(0.3))
         assert res.coupling_ok
 
-    def test_json_payload(self):
-        import json
-
-        res = enumerate_exact(3, MemoryParams.from_p(0.75))
-        payload = json.loads(res.to_json())
-        assert payload["E_W2"] == pytest.approx(5.5)
-        assert payload["coupling_ok"] is True
-
 
 def _literal_enumeration(n, q, cov_pairs):
     """Every field of EnumerationResult by a sum over all 2^n letter sequences."""
@@ -386,14 +378,11 @@ class TestLongHorizon:
 
 
 class TestMomentTable:
-    def test_csv_schema_and_values(self):
+    def test_first_row_fields(self):
         table = MomentTable.build(4, 0.5)
-        lines = list(table.csv_lines())
-        assert lines[0] == "k,H,I,a_k"
-        assert len(lines) == 5
-        k, h, i, a = lines[1].split(",")
-        assert (int(k), float(h)) == (1, 1.0)
-        assert float(i) == pytest.approx(2 / math.pi, rel=1e-11)
+        assert len(table.k) == len(table.H) == len(table.I) == len(table.a) == 4
+        assert (table.k[0], table.H[0]) == (1, 1.0)
+        assert table.I[0] == pytest.approx(2 / math.pi, rel=1e-11)
 
     def test_envelope_bounded_ratio(self):
         # a_k tracks k^-q below the critical memory, k^-q log k at it, and

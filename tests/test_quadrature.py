@@ -5,9 +5,7 @@ import pytest
 
 from dihedral_erw.moments import i_factor, t2, var_ztilde_exact
 from dihedral_erw.quadrature import (
-    FIGURE_CSV_HEADER,
     QuadratureError,
-    figure_csv_lines,
     figure_grid,
     gauss_2f1,
     integrate,
@@ -301,12 +299,6 @@ class TestFigureGrid:
     def test_grid_snapping_hits_exact_zero(self):
         rows = figure_grid(-1.0, 1e-12, 0.05)
         assert rows[-1].q == 0.0
-
-    def test_csv_header(self):
-        rows = figure_grid(0.0, 0.2, 0.1)
-        lines = list(figure_csv_lines(rows))
-        assert lines[0] == FIGURE_CSV_HEADER
-        assert len(lines) == 4
 
     def test_domain_guard(self):
         for step in (0.0, -0.1, float("nan")):
