@@ -49,13 +49,14 @@ def _csv_lines(header: str, rows):
 
 
 def _write_lines(lines, path: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write each line as it comes, so the whole text is never held at once."""
+    text = (line + "\n" for line in lines)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 

@@ -144,10 +144,8 @@ class MemoryParams:
     q: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not -1.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [-1, 1], got {self.q}")
+        if not (0.0 <= self.p <= 1.0 and -1.0 <= self.q <= 1.0):
+            raise ValueError(f"need p in [0, 1] and q in [-1, 1], got p={self.p}, q={self.q}")
         if self.q != 2.0 * self.p - 1.0 and self.p != (self.q + 1.0) / 2.0:
             raise ValueError("p and q must satisfy q = 2p - 1")
 

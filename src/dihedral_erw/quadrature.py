@@ -166,10 +166,6 @@ def var_ztilde_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
 
 def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
     """Limit variance of the predictable part Z = q * Ztilde: q^2 times the integral."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if q == 0.0:
-        return 0.0
     return q * q * var_ztilde_infinity(q, tol)
 
 
@@ -257,13 +253,12 @@ def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TO
     """Rows (q, limit variance of Z, abs error) over a q grid.
 
     Grid points are snapped to 12 decimals so accumulated float drift
-    cannot miss exact values such as q = 0 or the q = 1/2 branch point.
+    cannot miss exact values such as q = 0 or the q = 1/2 branch point;
+    adding 0.0 turns a snapped -0.0 into 0.0, so q = 0 always prints as 0.
     Per-point quadrature failures are flagged on the row, not raised.
     """
     if not step > 0.0:
         raise ValueError("step must be positive")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     if not -1.0 <= q_min or not q_max <= 0.99:  # written so that nan fails
         raise ValueError("grid must stay within [-1, 0.99]")
     if not q_min <= q_max:
@@ -271,23 +266,12 @@ def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TO
     rows = []
     count = int(round((q_max - q_min) / step))
     for i in range(count + 1):
-        qv = round(q_min + i * step, 12)
+        qv = round(q_min + i * step, 12) + 0.0
         if qv > q_max + 1e-12:
             break
         try:
-            if qv == 0.0:
-                rows.append(FigureRow(q=0.0, var_z_infinity=0.0, abs_err=0.0))
-            else:
-                res = var_ztilde_infinity_result(qv, tol)
-                rows.append(
-                    FigureRow(
-                        q=qv,
-                        var_z_infinity=qv * qv * res.value,
-                        abs_err=qv * qv * res.abs_err_estimate,
-                    )
-                )
+            res = var_ztilde_infinity_result(qv, tol)
+            rows.append(FigureRow(qv, qv * qv * res.value, qv * qv * res.abs_err_estimate))
         except QuadratureError:
-            rows.append(
-                FigureRow(q=qv, var_z_infinity=math.nan, abs_err=math.inf, ok=False)
-            )
+            rows.append(FigureRow(qv, math.nan, math.inf, ok=False))
     return rows

@@ -4,7 +4,13 @@ The same criterion functions back `derw verify`.  All Monte Carlo checks
 run under the fixed master seed, so results are reproducible bit for bit.
 """
 
+import ast
+import re
+from pathlib import Path
+
 from dihedral_erw import acceptance as acc
+
+ACCEPTANCE_SRC = Path(__file__).resolve().parent.parent / "src" / "dihedral_erw" / "acceptance.py"
 
 
 def _run(fn):
@@ -72,3 +78,29 @@ def test_criterion_10_hypergeometric():
 def test_criterion_11_figure_via_cli():
     res = _run(acc.criterion_11_figure)
     assert res.passed, res.detail
+
+
+def test_criteria_numbering():
+    """Each criterion_N_* carries @_criterion(N, ...); ALL_CRITERIA lists 1 to 11 in order.
+
+    The source is parsed, so no criterion runs.
+    """
+    tree = ast.parse(ACCEPTANCE_SRC.read_text(), filename=str(ACCEPTANCE_SRC))
+    defined = {}
+    for node in tree.body:
+        match = isinstance(node, ast.FunctionDef) and re.fullmatch(r"criterion_(\d+)_\w+", node.name)
+        if not match:
+            continue
+        numbers = [dec.args[0].value for dec in node.decorator_list
+                   if isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+                   and dec.func.id == "_criterion" and isinstance(dec.args[0], ast.Constant)]
+        assert numbers == [int(match.group(1))], f"{node.name} is decorated as {numbers}"
+        defined[node.name] = numbers[0]
+    tuples = {target.id: [elt.id for elt in node.value.elts]
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)
+              and target.id in ("ALL_CRITERIA", "QUICK_CRITERIA")}
+    listed = tuples["ALL_CRITERIA"]
+    assert sorted(listed) == sorted(defined), "ALL_CRITERIA must list every criterion once"
+    assert [defined[name] for name in listed] == list(range(1, 12))
+    assert set(tuples["QUICK_CRITERIA"]) <= set(listed)

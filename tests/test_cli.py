@@ -226,10 +226,14 @@ class TestUsageErrors:
             main(["variance", "--p", "0.5", "--q", "0"])
         assert exc.value.code == 2
 
-    def test_out_of_range_parameter(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["variance", "--q", "1.5"])
-        assert exc.value.code == 2
+    def test_out_of_range_parameter(self, capsys):
+        # the message names the q given, not only the p derived from it
+        for argv, given in ((["variance", "--q", "1.5"], "q=1.5"),
+                            (["simulate", "--q", "2", "--steps", "5"], "q=2.0")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert given in capsys.readouterr().err
 
     def test_bad_tolerance(self):
         for tol in ("-1", "0", "nan"):

@@ -116,6 +116,12 @@ class TestLimitVariance:
                 with pytest.raises(ValueError, match="tol must be positive"):
                     call()
 
+    def test_memoryless_limit_is_integrated_too(self):
+        # q = 0 has no shortcut: below the reachable tolerance it fails like any q
+        with pytest.raises(QuadratureError):
+            var_z_infinity(0.0, tol=1e-17)
+        assert not figure_grid(0.0, 0.0, 1.0, tol=1e-17)[0].ok
+
     def test_prefactor_of_z(self):
         assert var_z_infinity(0.0) == 0.0
         q = -1.0
@@ -299,6 +305,12 @@ class TestFigureGrid:
     def test_grid_snapping_hits_exact_zero(self):
         rows = figure_grid(-1.0, 1e-12, 0.05)
         assert rows[-1].q == 0.0
+
+    def test_zero_from_below_is_positive_zero(self):
+        # -0.9 + 3 * 0.3 snaps to -0.0; the row must still print as 0, not -0
+        zero = [r for r in figure_grid(-0.9, 0.9, 0.3) if r.q == 0.0]
+        assert len(zero) == 1 and math.copysign(1.0, zero[0].q) == 1.0
+        assert zero[0].var_z_infinity == 0.0 and zero[0].abs_err == 0.0
 
     def test_domain_guard(self):
         for step in (0.0, -0.1, float("nan")):
