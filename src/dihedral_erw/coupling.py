@@ -131,21 +131,18 @@ def reconstruct_w_from_s(s_path: Sequence[int]) -> int:
     """Recover W_n from the S-path alone.
 
     W_n = (-1)^(n-1) S_n + 2 * sum_{k=1}^{n-1} (-1)^(k-1) S_k, which is the
-    alternating sum of the S-increments.  The input is S_1..S_n.
+    alternating sum of the S-increments, sum_k (-1)^(k-1) (S_k - S_(k-1)),
+    added up in the same pass that checks each step.  The input is S_1..S_n.
     """
-    s = [int(v) for v in s_path]
-    if not s:
-        raise ValueError("empty path")
-    prev = 0
-    for k, v in enumerate(s, start=1):
+    w = prev = k = 0
+    for k, v in enumerate(map(int, s_path), start=1):
         if abs(v - prev) != 1:
             raise ValueError(f"S must move by +-1 each step (step {k})")
+        w += v - prev if k % 2 else prev - v
         prev = v
-    n = len(s)
-    total = (1 if (n - 1) % 2 == 0 else -1) * s[-1]
-    for k in range(1, n):
-        total += 2 * (1 if (k - 1) % 2 == 0 else -1) * s[k - 1]
-    return total
+    if k == 0:
+        raise ValueError("empty path")
+    return w
 
 
 def coupled_states_along(trace: WalkTrace) -> list:

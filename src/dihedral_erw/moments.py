@@ -195,7 +195,6 @@ def r_norm(n: float, p: float) -> float:
 class MomentTable:
     """Tabulated H, I, and a_k = H*I/k^2 for k = 1..n at one q."""
 
-    q: float
     k: np.ndarray
     H: np.ndarray
     I: np.ndarray
@@ -206,7 +205,7 @@ class MomentTable:
         h = h_moment_table(n, q)[1:]
         i = i_factor_table(n, q)[1:]
         k = np.arange(1, n + 1)
-        return cls(q=float(q), k=k, H=h, I=i, a=h * i / k.astype(float) ** 2)
+        return cls(k=k, H=h, I=i, a=h * i / k.astype(float) ** 2)
 
 
 @dataclass
@@ -237,20 +236,16 @@ def _forward(pa, pb, xa, xb):
     return out
 
 
-def enumerate_exact(
-    n: int,
-    params: MemoryParams,
-    cov_pairs: Sequence = ((1, 2),),
-) -> EnumerationResult:
+def enumerate_exact(n: int, params: MemoryParams, cov_pairs: Sequence = ()) -> EnumerationResult:
     """Exact moments at horizons 1..n over all letter sequences of length n.
 
     The state after k steps is the a-count A (so W = 2A - k).  Each state
     carries its probability m and the partial moments E[S; A], E[S^2; A],
     E[Ztilde; A], E[Ztilde^2; A], plus E[W_k; A] from step k on for each
-    covariance pair (k, l); one step of the forward equation moves them all
-    with the shared step law, and the S increments come from
-    encode_increment.  Cost is O(n^2).  coupling_ok is the exhaustive
-    coupling check over every sequence of length n.
+    covariance pair (k, l) asked for (none by default); one step of the
+    forward equation moves them all with the shared step law, and the S
+    increments come from encode_increment.  Cost is O(n^2).  coupling_ok is
+    the exhaustive coupling check over every sequence of length n.
     """
     if n < 1:
         raise ValueError("enumeration horizon must be at least 1")

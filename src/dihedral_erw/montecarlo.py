@@ -95,15 +95,16 @@ def sample_paths(
     collect may contain "qsl" (needs steps >= 2), "lil" (running max from
     step LIL_START on, so needs steps >= LIL_START) and "doob"; terminal
     values of W, S, Xi, Ztilde and QV are always recorded, as are
-    S-snapshots at the requested steps.  A pass that computes any
-    collector computes all of them (lil only when steps >= LIL_START), and
-    the result carries the requested ones.
+    S-snapshots at the requested steps.  A request that names any
+    collector is a collector pass, and its result carries every collector
+    the pass computed: qsl_sum when steps >= 2, lil_pos and lil_neg when
+    steps >= LIL_START, and both doob residuals.
 
     An ensemble is computed once per process: a request that earlier ones
     already cover (at least as many rows, with collectors if any is
     requested, and every requested snapshot step) is answered with copies
-    of stored rows.  So after one request with a collector, a request for
-    another collector on no more rows evolves nothing.
+    of stored rows.  So after one collector pass, a collector request on
+    no more rows evolves nothing.
     """
     if steps < 1 or reps < 1:
         raise ValueError("steps and reps must be at least 1")
@@ -139,13 +140,11 @@ def sample_paths(
 
     out.W, out.S, out.Xi, out.Ztilde, out.QV = rows("paths")
     if collect:
-        qsl_sum, lil_pos, lil_neg, doob_resid_max, qv_resid_max = rows("collectors")
-        if "qsl" in collect:
+        qsl_sum, lil_pos, lil_neg, out.doob_resid_max, out.qv_resid_max = rows("collectors")
+        if steps >= 2:
             out.qsl_sum = qsl_sum
-        if "lil" in collect:
+        if steps >= LIL_START:
             out.lil_pos, out.lil_neg = lil_pos, lil_neg
-        if "doob" in collect:
-            out.doob_resid_max, out.qv_resid_max = doob_resid_max, qv_resid_max
     out.snapshots = {m: rows(m)[0] for m in snapshot_steps}
     return out
 
@@ -242,11 +241,13 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
                     np.subtract(K, Y, out=K_new)
                     np.subtract(K_new, K, out=KC)
                     np.add(KC, Y, out=KC)
+                    np.add(S, e, out=S_new)
                 else:
                     np.subtract(P, KC, out=Y)
                     np.add(K, Y, out=K_new)
                     np.subtract(K_new, K, out=KC)
                     np.subtract(KC, Y, out=KC)
+                    np.subtract(S, e, out=S_new)
                 np.multiply(w, w, out=w_sq)
                 np.multiply(c_qq, w_sq, out=qv_term)
                 np.add(N, X, out=N_new)             # Neumaier: c += (sum - t) + x
@@ -254,10 +255,6 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
                 np.add(R, X, out=R)
                 np.add(NC, R, out=NC_new)
                 np.subtract(W, e, out=W)
-                if n & 1:
-                    np.add(S, e, out=S_new)
-                else:
-                    np.subtract(S, e, out=S_new)
                 if m in snaps:
                     snaps[m][:] = S_new
                 n = n_[()] = m
@@ -379,9 +376,7 @@ def ks_normal_test(samples, alpha: float = 0.01) -> KSResult:
 @dataclass(frozen=True)
 class SlopeFit:
     fitted_slope: float
-    intercept: float
     theoretical_slope: float
-    residual: float
     dropped: tuple = ()
 
 
@@ -408,13 +403,6 @@ def t2_rate_fit(q: float, n_list: Sequence[int]) -> SlopeFit:
         logs.append(math.log(abs(val)))
     if len(kept) < 2:
         raise ValueError(f"too few usable points after dropping {dropped}")
-    slope, intercept = np.polyfit(kept, logs, 1)
-    resid = float(np.sum((np.polyval([slope, intercept], kept) - np.array(logs)) ** 2))
+    slope = np.polyfit(kept, logs, 1)[0]
     theoretical = q - 1.0 if q > 0.0 else -1.0
-    return SlopeFit(
-        fitted_slope=float(slope),
-        intercept=float(intercept),
-        theoretical_slope=theoretical,
-        residual=resid,
-        dropped=tuple(dropped),
-    )
+    return SlopeFit(fitted_slope=float(slope), theoretical_slope=theoretical, dropped=tuple(dropped))

@@ -275,6 +275,12 @@ class TestEnumeration:
         res = enumerate_exact(3, MemoryParams.from_p(0.75))
         assert res.e_w2 == pytest.approx(5.5, abs=1e-12)
 
+    def test_one_step_default_has_no_covariance_pairs(self):
+        res = enumerate_exact(1, MemoryParams.from_q(0.3))
+        assert res.e_w2 == 1.0 and res.cov_w_pairs == {} and res.coupling_ok
+        with pytest.raises(ValueError, match=r"cov pair \(1,2\) out of range for n=1"):
+            enumerate_exact(1, MemoryParams.from_q(0.3), cov_pairs=((1, 2),))
+
     def test_probabilities_sum_to_one(self):
         for q in Q_GRID:
             res = enumerate_exact(12, MemoryParams.from_q(q))

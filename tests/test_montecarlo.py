@@ -279,6 +279,14 @@ class TestEnsembleStore:
         fresh_store()
         assert_same_rows(sample_paths(0.5, 400, reps, 5, **kw), served)
 
+    def test_one_collector_returns_all_collectors(self, fresh_store):
+        one = sample_paths(0.3, 400, 6, 5, collect=("doob",))
+        fresh_store()
+        assert_same_rows(sample_paths(0.3, 400, 6, 5, collect=self.ALL), one)
+        short = sample_paths(0.3, 50, 3, 5, collect=("doob",))    # below LIL_START
+        assert short.qsl_sum is not None and short.lil_pos is None and short.lil_neg is None
+        assert short.doob_resid_max is not None and short.qv_resid_max is not None
+
     def test_hits_open_no_streams(self, fresh_store, monkeypatch):
         opened = []
         real = montecarlo.replication_stream
