@@ -34,7 +34,6 @@ from .moments import (
     enumerate_exact,
     h_moment,
     h_moment_table,
-    i_factor,
     r_norm,
     t1,
     t2,
@@ -46,6 +45,7 @@ from .quadrature import (
     QuadratureResult,
     figure_grid,
     gauss_2f1,
+    i_factor,
     integrate,
     j1,
     j2,

@@ -8,16 +8,16 @@ once, by the library function that owns it.
 
 This module is the package's only writer: the library returns values, and
 the commands here turn them into CSV, JSON and the verify report.  All
-output is locale-independent; _csv_lines prints floats with 12 significant
+output is locale-independent; _write_csv prints floats with 12 significant
 digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Optional
 
 from .acceptance import ALL_CRITERIA, QUICK_CRITERIA
 from .coupling import coupled_states_along, verify_coupling
@@ -37,26 +37,26 @@ def _params_from_args(args) -> MemoryParams:
     return MemoryParams.from_p(args.p) if args.p is not None else MemoryParams.from_q(args.q)
 
 
-def _csv_lines(header: str, rows):
+def _write_csv(out, header: str, rows) -> None:
     """The header, then one line per row: floats to 12 significant digits, the rest by str.
 
     numpy float64 is a float and int64 is not, so table columns print like
-    Python floats and ints.
+    Python floats and ints.  Lines are written as they come, never held.
     """
-    yield header
-    for row in rows:
-        yield ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+    out.write(header + "\n")
+    out.writelines(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows)
 
 
-def _write_lines(lines, path: Optional[str]) -> None:
-    """Write each line as it comes, so the whole text is never held at once."""
-    text = (line + "\n" for line in lines)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout, or the file at path, opened before the caller computes what goes in it."""
     if path is None:
-        sys.stdout.writelines(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w") as fh:
-            fh.writelines(text)
+            yield fh
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -125,13 +125,13 @@ def main(argv=None) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
-    rng = replication_stream(args.seed, 0)
-    trace = simulate_walk(params, args.steps, rng)
-    states = coupled_states_along(trace)
-    if args.trace:
-        rows = ((st.n, g, st.W, st.S, st.Xi, st.Ztilde, st.QV)
-                for g, st in zip(trace.letters, states))
-        _write_lines(_csv_lines("n,letter,W,S,Xi,Ztilde,QV", rows), args.trace)
+    with _output(args.trace) if args.trace else contextlib.nullcontext() as out:
+        trace = simulate_walk(params, args.steps, replication_stream(args.seed, 0))
+        states = coupled_states_along(trace)
+        if out:
+            rows = ((st.n, g, st.W, st.S, st.Xi, st.Ztilde, st.QV)
+                    for g, st in zip(trace.letters, states))
+            _write_csv(out, "n,letter,W,S,Xi,Ztilde,QV", rows)
     final = states[-1]
     summary = {
         "p": params.p,
@@ -170,9 +170,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    table = MomentTable.build(args.n_max, _params_from_args(args).q)
-    rows = zip(table.k, table.H, table.I, table.a)
-    _write_lines(_csv_lines("k,H,I,a_k", rows), args.out)
+    q = _params_from_args(args).q
+    with _output(args.out) as out:
+        table = MomentTable.build(args.n_max, q)
+        _write_csv(out, "k,H,I,a_k", zip(table.k, table.H, table.I, table.a))
     return 0
 
 
@@ -197,11 +198,12 @@ def _cmd_variance(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    # the grid before the output: figure_grid finds a bad --tol or --step, and no file is left
     rows = figure_grid(args.q_min, args.q_max, args.step, tol=args.tol)
     failed = [r.q for r in rows if not r.ok]
-    lines = _csv_lines("q,var_Z_infinity,abs_err",
-                       ((r.q, r.var_z_infinity, r.abs_err) for r in rows))
-    _write_lines(lines, args.out)
+    with _output(args.out) as out:
+        _write_csv(out, "q,var_Z_infinity,abs_err",
+                   ((r.q, r.var_z_infinity, r.abs_err) for r in rows))
     if failed:
         print(f"warning: quadrature failed at q = {failed}", file=sys.stderr)
     return 0

@@ -10,11 +10,8 @@ blocks of k by cumulative products and sums; var_ztilde_exact solves the
 recursion for G_k = E[Ztilde_k W_k] the same way).  The closed form
 H = k/(2q - 1) ((2q)_k/k! - 1) costs O(k) per value and needs a separate
 limit at q = 1/2, so it is only a cross-check, kept with the tests in
-tests/oracles.py.  Gamma functions enter only as ratios at integer-spaced
-arguments, all of them values of I(k, q) from i_factor_table's running
-product (the beta prefactors of J1 and J2, and the Pochhammer ratio of the
-covariance oracle in tests/oracles.py); the one gamma value, that
-product's anchor, comes from math.lgamma.
+tests/oracles.py.  The gamma ratios, the I column of MomentTable, come
+from quadrature.i_factor_table, which holds the package's one gamma value.
 
 enumerate_exact is the independent oracle for all of these: W is a Markov
 chain on the a-count and S, Ztilde are additive functionals of its path,
@@ -32,7 +29,7 @@ import numpy as np
 
 from .coupling import encode_increment, exhaustive_coupling_check
 from .group import MemoryParams, _check_q, step_prob_a
-from .quadrature import gauss_2f1, j2
+from .quadrature import gauss_2f1, i_factor_table
 
 
 def h_moment(k: int, q: float) -> float:
@@ -75,42 +72,6 @@ def h_moment_table(n: int, q: float) -> np.ndarray:
     for k0 in range(3, n, _BLOCK):
         a = 1.0 + (2.0 * q) / np.arange(k0, min(n, k0 + _BLOCK), dtype=float)
         out[k0 + 1:k0 + 1 + len(a)] = _solve_block(a, 1.0, out[k0])
-    return out
-
-
-def i_factor(k: int, q: float) -> float:
-    """Normaliser I(k, q) = Gamma(k+1) / (Gamma(k+q) Gamma(1-q)).
-
-    At k + q = 0 (only k = 1, q = -1) the gamma in the denominator has a
-    pole and I is 0.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return float(i_factor_table(k, q)[k])
-
-
-def i_factor_table(n: int, q: float) -> np.ndarray:
-    """I(k, q) for k = 1..n (index 0 is nan), as a running product.
-
-    I(k+1) = I(k) (k+1)/(k+q), anchored at I(2) = 2/(Gamma(2+q) Gamma(1-q)),
-    whose gammas have no pole for q in [-1, 1).  I(1) = I(2) (1+q)/2 is then
-    exactly 0 at q = -1.  The product keeps I within 1e-11 of the 40-digit
-    value for k <= 1e5; exp of a log-gamma difference was 1.5e-10 off there.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = _check_q(q)
-    out = np.empty(n + 1)
-    out[0] = np.nan
-    if q == 0.0:
-        out[1:] = np.arange(1, n + 1)  # Gamma(k+1)/Gamma(k), exactly
-        return out
-    i2 = 2.0 * math.exp(-math.lgamma(2.0 + q) - math.lgamma(1.0 - q))
-    out[1] = i2 * (1.0 + q) / 2.0
-    if n >= 2:
-        k = np.arange(2, n, dtype=float)
-        out[2] = i2
-        out[3:] = i2 * np.cumprod((k + 1.0) / (k + q))
     return out
 
 
@@ -165,15 +126,19 @@ def t1(n: int, q: float) -> float:
 
 
 def t2(n: int, q: float) -> float:
-    """Second variance term: J2(n, q) times the alternating sum of a_k.
+    """Second variance term: J2(n, q) times the alternating sum of a_k, k <= n.
 
-    The alternating sum cancels heavily, so it is accumulated with exact
-    (fsum) summation rather than a running float total.
+    J2(n, q) = 2F1(1, n+q+1; n+2; -1) / I(n+1, q) as in quadrature.j2; one
+    table to n + 1 gives I(n+1) and the a_k.  fsum adds the cancelling sum exactly.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     q = _check_q(q)
-    signed = MomentTable.build(n, q).a
+    table = MomentTable.build(n + 1, q)
+    signed = table.a[:n]
     signed[-2::-2] *= -1.0          # (-1)^(n-k) a_k; sign flips are exact
-    return j2(n, q) * math.fsum(signed.tolist())
+    j2 = gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0) / float(table.I[n])
+    return j2 * math.fsum(signed)  # not tolist: n boxed floats at once cost 3 MiB of RSS at n = 1e5
 
 
 def r_norm(n: float, p: float) -> float:

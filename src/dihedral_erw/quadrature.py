@@ -14,9 +14,9 @@ The kernels J1 and J2 of the T1 + 2 T2 split are Euler integrals of the
 Gauss function (DLMF 15.6.1), so they are evaluated in closed form: a beta
 prefactor times a 2F1 series at z = -1, which the Pfaff transformation
 (DLMF 15.8.1) turns into a geometric series at z = 1/2.  Both beta
-prefactors are values of the normaliser I(k, q) of moments.i_factor, so
-the package has one implementation of gamma ratios.  Quadrature of the
-same integrands serves only as a small-k cross-check in the tests.
+prefactors are values of the normaliser I(k, q) of i_factor_table, the
+package's one implementation of gamma ratios.  Quadrature of the same
+integrands serves only as a small-k cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -169,15 +169,49 @@ def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
     return q * q * var_ztilde_infinity(q, tol)
 
 
+def i_factor(k: int, q: float) -> float:
+    """Normaliser I(k, q) = Gamma(k+1) / (Gamma(k+q) Gamma(1-q)).
+
+    At k + q = 0 (only k = 1, q = -1) the gamma in the denominator has a
+    pole and I is 0.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return float(i_factor_table(k, q)[k])
+
+
+def i_factor_table(n: int, q: float) -> np.ndarray:
+    """I(k, q) for k = 1..n (index 0 is nan), as a running product.
+
+    I(k+1) = I(k) (k+1)/(k+q), anchored at I(2) = 2/(Gamma(2+q) Gamma(1-q)),
+    whose gammas have no pole for q in [-1, 1).  I(1) = I(2) (1+q)/2 is then
+    exactly 0 at q = -1.  The product keeps I within 1e-11 of the 40-digit
+    value for k <= 1e5; exp of a log-gamma difference was 1.5e-10 off there.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    q = _check_q(q)
+    out = np.empty(n + 1)
+    out[0] = np.nan
+    if q == 0.0:
+        out[1:] = np.arange(1, n + 1)  # Gamma(k+1)/Gamma(k), exactly
+        return out
+    i2 = 2.0 * math.exp(-math.lgamma(2.0 + q) - math.lgamma(1.0 - q))
+    out[1] = i2 * (1.0 + q) / 2.0
+    if n >= 2:
+        k = np.arange(2, n, dtype=float)
+        out[2] = i2
+        out[3:] = i2 * np.cumprod((k + 1.0) / (k + q))
+    return out
+
+
 def j1(k: int, q: float) -> float:
     """Integral of u^(k+q-1) (1-u)^(1-q) / (1+u) over (0, 1).
 
     Closed form B(k+q, 2-q) * 2F1(1, k+q; k+2; -1), by DLMF 15.6.1.  By
     Gamma(x+1) = x Gamma(x) the beta function is (1-q)/((k+1) I(k, q)),
-    with I(k, q) from moments.i_factor; I(1, -1) = 0 is its pole.
+    with I(1, -1) = 0 at its pole.  moments.t1 forms the same terms.
     """
-    from .moments import i_factor  # moments imports this module
-
     if k < 1:
         raise ValueError("k must be at least 1")
     q = _check_q(q)
@@ -190,11 +224,9 @@ def j2(n: int, q: float) -> float:
     """Integral of u^(n+q) (1-u)^(-q) / (1+u) over (0, 1).
 
     Closed form B(n+q+1, 1-q) * 2F1(1, n+q+1; n+2; -1), by DLMF 15.6.1,
-    and B(n+q+1, 1-q) = 1/I(n+1, q) with I from moments.i_factor.  The 2F1
-    factor lies in (1/2, 1), so 1/I(n+1, q) is the envelope of J2.
+    and B(n+q+1, 1-q) = 1/I(n+1, q).  The 2F1 factor lies in (1/2, 1), so
+    1/I(n+1, q) is the envelope of J2.  moments.t2 forms the same value.
     """
-    from .moments import i_factor  # moments imports this module
-
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)

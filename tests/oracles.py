@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from dihedral_erw.group import _check_q
-from dihedral_erw.moments import h_moment, h_moment_table, i_factor_table
+from dihedral_erw.moments import h_moment, h_moment_table
+from dihedral_erw.quadrature import i_factor_table
 
 
 def h_closed_form(k: int, q: float) -> float:

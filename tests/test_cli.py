@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dihedral_erw
-from dihedral_erw import quadrature
+from dihedral_erw import cli, quadrature
 from dihedral_erw.acceptance import Q_GRID
 from dihedral_erw.cli import main
 from dihedral_erw.moments import h_moment
@@ -216,6 +216,25 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "derw: error: cannot write " in captured.err
 
+    @pytest.mark.parametrize("argv, owner, work", (
+        (("simulate", "--q", "0.5", "--steps", "10000000", "--trace", "{missing}/t.csv"),
+         cli, "simulate_walk"),
+        (("moments", "--q", "0.3", "--n-max", "3", "--out", "{missing}/m.csv"),
+         cli.MomentTable, "build"),
+    ), ids=("simulate", "moments"))
+    def test_unwritable_output_fails_before_the_work(self, monkeypatch, capsys, tmp_path,
+                                                      argv, owner, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output was opened")
+
+        monkeypatch.setattr(owner, work, never)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(missing=tmp_path / "missing") for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "derw: error: cannot write " in captured.err
+
     def test_missing_memory_parameter(self):
         with pytest.raises(SystemExit) as exc:
             main(["variance"])
@@ -277,6 +296,42 @@ def test_only_the_cli_writes():
     stray = [f"{path.name}:{line} {what}" for path in sorted(PACKAGE_SRC.glob("*.py"))
              if path.name != "cli.py" for line, what in writer_uses(path)]
     assert not stray, f"output outside cli.py: {stray}"
+
+
+def package_imports(path):
+    """Package modules one source file imports, function-local imports included."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import x
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+
+
+def import_cycle(graph):
+    """One cycle of the module graph as [m, ..., m], or None if it has none."""
+    done = set()
+
+    def visit(module, path):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module not in done:
+            for dep in sorted(graph.get(module, ())):
+                cycle = visit(dep, path + [module])
+                if cycle:
+                    return cycle
+            done.add(module)
+        return None
+
+    return next((c for c in (visit(m, []) for m in sorted(graph)) if c), None)
+
+
+def test_package_imports_form_no_cycle():
+    # a function-local import hides a cycle from the interpreter, not from the parse
+    graph = {path.stem: set(package_imports(path)) for path in PACKAGE_SRC.glob("*.py")}
+    assert graph["cli"], "the scan misses the imports in cli.py"
+    cycle = import_cycle(graph)
+    assert cycle is None, f"import cycle: {' -> '.join(cycle)}"
 
 
 class TestImports:

@@ -1,7 +1,7 @@
 """The package evaluates gamma functions in one place.
 
 Every gamma and Pochhammer ratio in ``src/`` is a value of the normaliser
-I(k, q), which ``moments.i_factor_table`` forms as a running product from
+I(k, q), which ``quadrature.i_factor_table`` forms as a running product from
 one gamma value.  A second implementation would differ from it in the last
 digits (exp of a log-gamma difference was 1.9e-10 off at n = 1e5), so every
 ``math.lgamma`` call must sit inside ``i_factor_table``.  The sources are

@@ -12,14 +12,12 @@ from dihedral_erw.moments import (
     enumerate_exact,
     h_moment,
     h_moment_table,
-    i_factor,
-    i_factor_table,
     r_norm,
     t1,
     t2,
     var_ztilde_exact,
 )
-from dihedral_erw.quadrature import gauss_2f1
+from dihedral_erw.quadrature import gauss_2f1, i_factor, i_factor_table, j2
 from oracles import cov_w, h_closed_form, var_ztilde_double_sum
 
 Q_GRID = (-1.0, -0.5, 0.0, 0.3, 0.5, 0.8)
@@ -191,7 +189,8 @@ class TestVarZtildeExact:
 
 class TestHorizonDomain:
     def test_exact_sums_reject_empty_horizon(self):
-        # the check lives in h_moment_table (or MomentTable.build), which each sum calls first
+        # the check lives in h_moment_table, which each sum calls first; t2 keeps its own,
+        # since its table runs to n + 1
         for f in (var_ztilde_exact, var_ztilde_double_sum, t1, t2):
             with pytest.raises(ValueError, match=r"^n must be at least 1$"):
                 f(0, 0.3)
@@ -228,6 +227,32 @@ class TestT1T2:
             assert 0.5 < j2(50, q) / envelope <= 1.0
             budget = envelope * float(np.sum(np.abs(MomentTable.build(50, q).a)))
             assert abs(t2(50, q)) <= budget
+
+    @pytest.mark.parametrize("n", (1, 2, 25, 4097, 4098, 100_000))
+    def test_t2_is_j2_times_the_alternating_sum(self, n):
+        # one table to n + 1 gives the n-row table's a_k and J2's I(n+1) bit for bit
+        for q in Q_GRID:
+            signed = MomentTable.build(n, q).a
+            signed[-2::-2] *= -1.0
+            assert t2(n, q) == j2(n, q) * math.fsum(signed.tolist()), q
+
+    def test_t2_builds_one_i_table(self, monkeypatch):
+        from dihedral_erw import moments, quadrature
+
+        calls = []
+        original = moments.i_factor_table
+
+        def counted(n, q):
+            calls.append(n)
+            return original(n, q)
+
+        for module in (moments, quadrature):
+            if hasattr(module, "i_factor_table"):
+                monkeypatch.setattr(module, "i_factor_table", counted)
+        for n, q in ((1, -1.0), (50, 0.3), (5000, 0.8)):
+            calls.clear()
+            t2(n, q)
+            assert calls == [n + 1], (n, q)
 
     def test_t2_vanishes_at_even_horizons_without_memory(self):
         # a_k = 1 identically at q = 0, so the alternating sum telescopes

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dihedral_erw.moments import i_factor, t2, var_ztilde_exact
+from dihedral_erw.moments import t2, var_ztilde_exact
 from dihedral_erw.quadrature import (
     QuadratureError,
     figure_grid,
     gauss_2f1,
+    i_factor,
     integrate,
     j1,
     j2,
