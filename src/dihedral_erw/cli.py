@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 numerical failure (JSON error record on stdout),
 2 usage error, which covers every argument the library rejects and an
 output path that cannot be written (the message on stderr, nothing on
 stdout).  The CLI checks no numeric domain itself: each input is checked
-once, by the library function that owns it.
+by the library function that owns it, a rejected horizon is named by its
+option, and the exact commands check q first, so a bad q is not named as one.
 
 This module is the package's only writer: the library returns values, and
 the commands here turn them into CSV, JSON and the verify report.  All
@@ -21,7 +22,7 @@ import sys
 
 from .acceptance import ALL_CRITERIA, QUICK_CRITERIA
 from .coupling import coupled_states_along, verify_coupling
-from .group import MemoryParams, signed_location, simulate_walk, word_metric
+from .group import MemoryParams, _check_q, signed_location, simulate_walk, word_metric
 from .moments import MomentTable, enumerate_exact, var_ztilde_exact
 from .montecarlo import replication_stream
 from .quadrature import QuadratureError, figure_grid, var_ztilde_infinity_result
@@ -35,6 +36,14 @@ def _add_memory_args(sp):
 
 def _params_from_args(args) -> MemoryParams:
     return MemoryParams.from_p(args.p) if args.p is not None else MemoryParams.from_q(args.q)
+
+
+def _named(option: str, fn, *args):
+    """fn(*args), with a ValueError it raises named after the option whose value it rejected."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"argument {option}: {exc}") from None
 
 
 def _write_csv(out, header: str, rows) -> None:
@@ -126,7 +135,8 @@ def main(argv=None) -> int:
 def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
     with _output(args.trace) if args.trace else contextlib.nullcontext() as out:
-        trace = simulate_walk(params, args.steps, replication_stream(args.seed, 0))
+        stream = replication_stream(args.seed, 0)
+        trace = _named("--steps", simulate_walk, params, args.steps, stream)
         states = coupled_states_along(trace)
         if out:
             rows = ((st.n, g, st.W, st.S, st.Xi, st.Ztilde, st.QV)
@@ -152,8 +162,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    params = _params_from_args(args)
+    _check_q(params.q)
     cov_pairs = ((1, 2),) if args.n >= 2 else ()
-    res = enumerate_exact(args.n, _params_from_args(args), cov_pairs)
+    res = _named("--n", enumerate_exact, args.n, params, cov_pairs)
     payload = {
         "n": res.n,
         "q": res.q,
@@ -170,21 +182,21 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    q = _params_from_args(args).q
+    q = _check_q(_params_from_args(args).q)
     with _output(args.out) as out:
-        table = MomentTable.build(args.n_max, q)
+        table = _named("--n-max", MomentTable.build, args.n_max, q)
         _write_csv(out, "k,H,I,a_k", zip(table.k, table.H, table.I, table.a))
     return 0
 
 
 def _cmd_variance(args) -> int:
-    params = _params_from_args(args)
+    q = _check_q(_params_from_args(args).q)
     # the exact sum first, so a bad --exact-n fails before any integrand runs
-    exact = None if args.exact_n is None else var_ztilde_exact(args.exact_n, params.q)
-    res = var_ztilde_infinity_result(params.q, tol=args.tol)
+    exact = None if args.exact_n is None else _named("--exact-n", var_ztilde_exact, args.exact_n, q)
+    res = var_ztilde_infinity_result(q, tol=args.tol)
     payload = {
-        "q": params.q,
-        "var_Z_infinity": params.q**2 * res.value,
+        "q": q,
+        "var_Z_infinity": q**2 * res.value,
         "var_Ztilde_infinity": res.value,
         "abs_err": res.abs_err_estimate,
         "evaluations": res.evaluations,

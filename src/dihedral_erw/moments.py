@@ -5,9 +5,9 @@ conditional-variance recursion
 
     H(1) = 1,  H(k+1) = (1 + 2q/k) H(k) + 1,
 
-which is taken as the defining computation (h_moment_table solves it in
-blocks of k by cumulative products and sums; var_ztilde_exact solves the
-recursion for G_k = E[Ztilde_k W_k] the same way).  The closed form
+which is taken as the defining computation.  _recurrence, the one block loop,
+solves it and the recursion for G_k = E[Ztilde_k W_k] in var_ztilde_exact,
+by cumulative products and sums over blocks of k.  The closed form
 H = k/(2q - 1) ((2q)_k/k! - 1) costs O(k) per value and needs a separate
 limit at q = 1/2, so it is only a cross-check, kept with the tests in
 tests/oracles.py.  The gamma ratios, the I column of MomentTable, come
@@ -42,25 +42,32 @@ def h_moment(k: int, q: float) -> float:
 _BLOCK = 4096
 
 
-def _solve_block(a: np.ndarray, b, x0: float) -> np.ndarray:
-    """x_1..x_L of x_j = a_j x_(j-1) + b_j from x_0 = x0, all a_j > 0, at once.
+def _recurrence(coeffs, x: float, k_first: int, n: int):
+    """Each block of k with x_k0 .. x_(k+1), for x_(k+1) = a_k x_k + b_k from x = x_(k_first).
 
-    x_j = Q_j (x0 + sum_{m<=j} b_m/Q_m) with Q_j = a_1 ... a_j.  Rounding in
-    Q_j grows with the block length: one product over all of k <= 1e6 put H
-    6.5e-13 off at q = 1/2, blocks of _BLOCK = 4096 stay within 1e-13 of the
-    40-digit value.
+    coeffs(k) gives (a_k, b_k), every a_k > 0, for a block of k.  Blocks start at
+    k0 = k_first + _BLOCK j, so x_k does not depend on n, and each is solved at once as
+    x_(k+1) = Q_k (x_k0 + sum_{m=k0..k} b_m/Q_m), Q_k = a_k0 ... a_k.  Rounding in Q_k
+    grows with the block: one product over all of k <= 1e6 put H 6.5e-13 off at q = 1/2,
+    blocks of _BLOCK = 4096 stay within 1e-13 of the 40-digit value.
     """
-    prod = np.cumprod(a)
-    return prod * (x0 + np.cumsum(b / prod))
+    for k0 in range(k_first, n, _BLOCK):
+        k = np.arange(k0, min(n, k0 + _BLOCK), dtype=float)
+        a, b = coeffs(k)
+        prod = np.cumprod(a)
+        xs = np.empty(len(k) + 1)
+        xs[0] = x
+        np.multiply(prod, x + np.cumsum(b / prod), out=xs[1:])
+        yield k, xs
+        x = xs[-1]
 
 
 def h_moment_table(n: int, q: float) -> np.ndarray:
     """Array of H(k, q) for k = 1..n (index 0 unused, set to nan).
 
     H(k+1) = a_k H(k) + 1 with a_k = 1 + 2q/k.  a_1 = 1 + 2q and a_2 = 1 + q
-    can be zero or negative, so H(2) and H(3) come one step at a time.  From
-    k = 3 on every a_k is positive, and _solve_block takes blocks of _BLOCK
-    steps whose edges are fixed in k, so H(k) does not depend on n.
+    can be zero or negative, so H(2) and H(3) come one step at a time, and
+    _recurrence solves the rest, where every a_k is positive.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -69,9 +76,8 @@ def h_moment_table(n: int, q: float) -> np.ndarray:
     out[0], out[1] = np.nan, 1.0
     for k in range(1, min(n, 3)):
         out[k + 1] = (1.0 + (2.0 * q) / k) * out[k] + 1.0
-    for k0 in range(3, n, _BLOCK):
-        a = 1.0 + (2.0 * q) / np.arange(k0, min(n, k0 + _BLOCK), dtype=float)
-        out[k0 + 1:k0 + 1 + len(a)] = _solve_block(a, 1.0, out[k0])
+    for k, h in _recurrence(lambda k: (1.0 + (2.0 * q) / k, 1.0), out[min(n, 3)], 3, n):
+        out[int(k[0]):int(k[-1]) + 2] = h
     return out
 
 
@@ -87,23 +93,24 @@ def var_ztilde_exact(n: int, q: float) -> float:
 
         t_k + t_{k+1} = 2 (-1)^k (1-q) G_k/(k (k+1)) + ((1-2q) H_k/k^2 + 1)/(k+1)^2,
 
-    beside t_1 = 1 (odd n) or t_1 + t_2 = (1 - q)/2 (even n).  G is solved
-    in blocks from G_2 = -(1 + q), since a_1 = 1 + q vanishes at q = -1.
+    beside t_1 = 1 (odd n) or t_1 + t_2 = (1 - q)/2 (even n).  G starts at G_2 = -(1 + q), as
+    a_1 = 1 + q vanishes at q = -1; pairs are summed per block of G, never over a whole G array.
     """
     q = _check_q(q)
     h = h_moment_table(n, q)
     odd = n % 2
     sign = 1.0 if odd else -1.0  # (-1)^k at every pair's first k
-    sums, g = [1.0 if odd else (1.0 - q) / 2.0], -(1.0 + q)  # g = G_2
-    for k0 in range(2, n, _BLOCK):  # k0 even
-        k = np.arange(k0, min(n, k0 + _BLOCK), dtype=float)
-        a, hk = 1.0 + q / k, h[k0:k0 + len(k)]
-        b = a * (hk / k)
-        b[1::2] *= -1.0  # (-1)^k; sign flips are exact
-        gk = np.concatenate(([g], _solve_block(a, b, g)))  # G_k0 .. G_(k0+len)
-        g = gk[-1]
-        first = slice(1 - odd, None, 2)  # k = n - 1, n - 3, ...
-        kp, hp, gp = k[first], hk[first], gk[:-1][first]
+    first = slice(1 - odd, None, 2)  # k = n - 1, n - 3, ...; every block starts at an even k
+
+    def coeffs(k):
+        a = 1.0 + q / k
+        b = a * (h[int(k[0]):int(k[-1]) + 1] / k)
+        b[1::2] *= -1.0  # (-1)^k, k[0] even; sign flips are exact
+        return a, b
+
+    sums = [1.0 if odd else (1.0 - q) / 2.0]
+    for k, g in _recurrence(coeffs, -(1.0 + q), 2, n):
+        kp, hp, gp = k[first], h[int(k[0]):int(k[-1]) + 1][first], g[:-1][first]
         pairs = (sign * 2.0 * (1.0 - q) * gp / (kp * (kp + 1.0))
                  + ((1.0 - 2.0 * q) * hp / kp**2 + 1.0) / (kp + 1.0) ** 2)
         sums.append(float(np.sum(pairs)))

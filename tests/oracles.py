@@ -2,7 +2,8 @@
 
 Each is a second route to a quantity the package computes another way: the
 closed form of H, the Pochhammer-ratio covariance of W, the O(n^2) double
-sum for E[Ztilde^2] and the QSL statistic of one S path.  The test modules
+sum for E[Ztilde^2], the recursions for E[S_k^2] that the forward pass of
+enumerate_exact sums directly, and the QSL statistic of one S path.  The test modules
 import them by bare name (``from oracles import ...``), which works because
 pytest puts this directory on ``sys.path``.
 """
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from dihedral_erw.group import _check_q
-from dihedral_erw.moments import h_moment, h_moment_table
+from dihedral_erw.moments import _recurrence, h_moment, h_moment_table
 from dihedral_erw.quadrature import i_factor_table
 
 
@@ -71,6 +72,36 @@ def var_ztilde_double_sum(n: int, q: float) -> float:
             inner.append(2.0 * (-1.0) ** l * ratio)
         total.append(h[k] / k**2 * math.fsum(inner))
     return math.fsum(total)
+
+
+def s_moments(n: int, q: float):
+    """V_k = E[S_k^2] and M_k = E[S_k W_k] for k = 1..n (index 0 unused, set to nan).
+
+    S_{k+1} = S_k + (-1)^k dW_{k+1}, dW^2 = 1 and E[dW_{k+1} | F_k] = q W_k/k give
+
+        M_{k+1} = (1 + q/k) M_k + (-1)^k (q H_k/k + 1),   M_1 = 1,
+        V_{k+1} = V_k + 1 + 2 (-1)^k q M_k/k,             V_1 = 1,
+
+    both solved by the package's blocked solver.  M starts at M_2 = 0, since
+    a_1 = 1 + q vanishes at q = -1.
+    """
+    q = _check_q(q)
+    h = h_moment_table(n, q)
+    m, v = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+    m[1] = v[1] = 1.0
+    m[2:3] = 0.0  # M_2, where n >= 2
+
+    def m_coeffs(k):
+        return 1.0 + q / k, (-1.0) ** k * (q * h[k.astype(int)] / k + 1.0)
+
+    def v_coeffs(k):
+        return np.ones_like(k), 1.0 + 2.0 * (-1.0) ** k * q * m[k.astype(int)] / k
+
+    for k, xs in _recurrence(m_coeffs, 0.0, 2, n):
+        m[int(k[0]):int(k[-1]) + 2] = xs
+    for k, xs in _recurrence(v_coeffs, 1.0, 1, n):
+        v[int(k[0]):int(k[-1]) + 2] = xs
+    return v, m
 
 
 def qsl_statistic(s_path) -> float:

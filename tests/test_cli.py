@@ -182,25 +182,34 @@ class TestVerify:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv", (
-        ("simulate", "--q", "0.3", "--steps", "0"),
-        ("enumerate", "--q", "0.3", "--n", "0"),
-        ("enumerate", "--p", "0.6", "--n", "0"),
-        ("moments", "--q", "0.3", "--n-max", "0"),
-        ("variance", "--q", "0.3", "--exact-n", "0"),
-        ("enumerate", "--p", "1", "--n", "3"),
-        ("figure", "--q-min", "nan", "--q-max", "0.2", "--step", "0.1"),
-        ("figure", "--q-min", "0", "--q-max", "nan", "--step", "0.1"),
-        ("figure", "--q-min", "0.5", "--q-max", "0.2", "--step", "0.1"),
-        ("figure", "--q-min", "-2", "--q-max", "0.0", "--step", "0.1"),
-    ), ids=" ".join)
-    def test_library_rejection_is_a_usage_error(self, capsys, argv):
+    REJECTED = (
+        (("simulate", "--q", "0.3", "--steps", "0"), "--steps"),
+        (("enumerate", "--q", "0.3", "--n", "0"), "--n"),
+        (("enumerate", "--p", "0.6", "--n", "0"), "--n"),
+        (("moments", "--q", "0.3", "--n-max", "0"), "--n-max"),
+        (("variance", "--q", "0.3", "--exact-n", "0"), "--exact-n"),
+        # q = 1 is outside the exact layer's domain; the horizon given with it is fine
+        (("enumerate", "--p", "1", "--n", "3"), None),
+        (("moments", "--p", "1", "--n-max", "3"), None),
+        (("variance", "--p", "1", "--exact-n", "3"), None),
+        (("figure", "--q-min", "nan", "--q-max", "0.2", "--step", "0.1"), None),
+        (("figure", "--q-min", "0", "--q-max", "nan", "--step", "0.1"), None),
+        (("figure", "--q-min", "0.5", "--q-max", "0.2", "--step", "0.1"), None),
+        (("figure", "--q-min", "-2", "--q-max", "0.0", "--step", "0.1"), None),
+    )
+
+    @pytest.mark.parametrize("argv, option", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED])
+    def test_library_rejection_is_a_usage_error(self, capsys, argv, option):
+        # the library's message, named after the option that carried the rejected value
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "derw: error: " in captured.err
+        if option is None:
+            assert "derw: error: " in captured.err and "derw: error: argument" not in captured.err
+        else:
+            assert f"derw: error: argument {option}: " in captured.err
 
     @pytest.mark.parametrize("argv", (
         ("moments", "--q", "0.3", "--n-max", "3", "--out", "{missing}/m.csv"),

@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import math
 from itertools import product
 
@@ -18,7 +19,7 @@ from dihedral_erw.moments import (
     var_ztilde_exact,
 )
 from dihedral_erw.quadrature import gauss_2f1, i_factor, i_factor_table, j2
-from oracles import cov_w, h_closed_form, var_ztilde_double_sum
+from oracles import cov_w, h_closed_form, s_moments, var_ztilde_double_sum
 
 Q_GRID = (-1.0, -0.5, 0.0, 0.3, 0.5, 0.8)
 
@@ -185,6 +186,49 @@ class TestVarZtildeExact:
         want = _var_ztilde_decimal(max(horizons), q, horizons)
         for n in horizons:
             assert var_ztilde_exact(n, q) == pytest.approx(want[n], rel=1e-13, abs=0.0), n
+
+
+class TestBlockEdgeBits:
+    """H and E[Ztilde^2] on both sides of the solver's block edges, pinned bit for bit.
+
+    H blocks start at k = 3, 4099, 8195 (a table to 12291 ends at the next edge) and G
+    blocks at k = 2, 4098, 8194, so these horizons end a block, start one, or sit one
+    step inside one.  The values were computed before the two block loops became one
+    solver.
+    """
+
+    VAR_N = (4097, 4098, 4099, 4100, 8194, 8195)
+    GOLDEN = (
+        (-1.0, ('0x1.23e0931d78dc0p+0', '0x1.23e092c833845p+0', '0x1.23e09372a8e65p+0',
+                '0x1.23e0931d78d9fp+0', '0x1.23e1e80d84307p+0', '0x1.23e1e83828313p+0'),
+         '5355edc18819285211e720f18b0ae5ac36c6ec49753551f7f79ce6fef021c24d'),
+        (-0.5, ('0x1.cd4a736b9635ap-1', '0x1.cd4a1de7753ebp-1', '0x1.cd4a73e36b5cap-1',
+                '0x1.cd4a1e6f4aecep-1', '0x1.cd4c3937565afp-1', '0x1.cd4c579b09e06p-1'),
+         '2794ff6747083bda8a6367f83d94f97dfffd56c19c437488fe854200f888cfaa'),
+        (0.0, ('0x1.62f42e6fc39ccp-1', '0x1.62d4326f43acbp-1', '0x1.62f42c706376dp-1',
+               '0x1.62d4346e63f6ap-1', '0x1.62dc308f979fdp-1', '0x1.62ec2f0fbb9c8p-1'),
+         'ba412df15135966d47b76a0bf53d66037a7301b8f8343c5d39953ead1d6221af'),
+        (0.3, ('0x1.2743add1c05b0p-1', '0x1.2597fa7d01e6ep-1', '0x1.274399b50b2eap-1',
+               '0x1.25980bc3e843bp-1', '0x1.25e4748d8dbb1p-1', '0x1.26ebc26102c49p-1'),
+         '17c151979d599c03ad561de4974e37bbb39f99d53a7e7e56fd1bd3f6c805e463'),
+        (0.5, ('0x1.020651e316238p-1', '0x1.f22bf819655dap-2', '0x1.0206038a8f1c6p-1',
+               '0x1.f22c793141e17p-2', '0x1.f49051bcea8fap-2', '0x1.009a5e031267cp-1'),
+         '3a0fac68a49c28b4747c08662ca13551e71203033901064ed5a9d346a5150c12'),
+        (0.7, ('0x1.d5ad2b53ae358p-2', '0x1.7956d7ea7871ep-2', '0x1.d5ab194abb118p-2',
+               '0x1.79583b8e507c2p-2', '0x1.80719dacd27bcp-2', '0x1.cb72a7eeb903fp-2'),
+         '2260a62d65649e5ec335c188f7596e5640104f897ea7f9a936d0f77cdb1cd1b0'),
+        (0.8, ('0x1.eb42af941d158p-2', '0x1.1be0e224171acp-2', '0x1.eb3f4260b18ccp-2',
+               '0x1.1be2a314e509cp-2', '0x1.253a28ae353d9p-2', '0x1.d9c4924dfe892p-2'),
+         '6460ad73aaac9ef6a717858d71cbfb829d1fd1e5d3593051c6209531ea5b9ef8'),
+        (0.95, ('0x1.7c76d00e5ecd2p-1', '0x1.20fc1dcb17b15p-4', '0x1.7c74f0222d128p-1',
+                '0x1.20fe529ad41a6p-4', '0x1.2d90122263e05p-4', '0x1.724ebe44f072bp-1'),
+         '2035d48543428103d7555935cfd60bec2dc5a1f8b659bbeaf1287933c1bdf0c4'),
+    )
+
+    @pytest.mark.parametrize("q, var_hex, h_sha", GOLDEN, ids=[str(row[0]) for row in GOLDEN])
+    def test_golden_bits(self, q, var_hex, h_sha):
+        assert tuple(var_ztilde_exact(n, q).hex() for n in self.VAR_N) == var_hex
+        assert hashlib.sha256(h_moment_table(12291, q).tobytes()).hexdigest() == h_sha
 
 
 class TestHorizonDomain:
@@ -406,6 +450,9 @@ class TestLongHorizon:
             assert res.e_ztilde2_by_step[k] == pytest.approx(var_ztilde_exact(k, q), rel=1e-12)
         for pair in pairs:
             assert res.cov_w_pairs[pair] == pytest.approx(cov_w(*pair, q), rel=1e-12)
+        v, _ = s_moments(n, q)
+        for k in range(1, n + 1):
+            assert res.e_s2_by_step[k] == pytest.approx(v[k], rel=1e-12), k
 
 
 class TestMomentTable:
