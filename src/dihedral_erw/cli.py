@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import shutil
 import sys
 
 from .acceptance import ALL_CRITERIA, QUICK_CRITERIA
@@ -59,15 +61,30 @@ def _write_csv(out, header: str, rows) -> None:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """stdout, or the file at path, opened before the caller computes what goes in it."""
+    """stdout, or the file at path, opened before the caller computes what goes in it.
+
+    A regular file is written to a temporary file beside it, which replaces it
+    with the same mode only once the caller is done, so a rejected argument
+    leaves it as it was.  Anything else, such as /dev/null, is written in place.
+    """
     if path is None:
         yield sys.stdout
         return
+    real = os.path.realpath(path)  # through a symlink, as open() writes
+    existing = os.path.exists(real)
+    tmp = f"{real}.{os.getpid()}.tmp" if not existing or os.path.isfile(real) else None
     try:
-        with open(path, "w") as fh:
+        with open(tmp or real, "w") as fh:
             yield fh
+        if tmp:
+            if existing:
+                shutil.copymode(real, tmp)
+            os.replace(tmp, real)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,8 @@ variation of Xi is <Xi>_n = n - q^2 * sum_{k<n} W_k^2/k^2.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, reduce_left_multiply,
                     signed_location, step_prob_a)
@@ -145,18 +146,41 @@ def reconstruct_w_from_s(s_path: Sequence[int]) -> int:
     return w
 
 
-def coupled_states_along(trace: WalkTrace) -> list:
-    """CoupledState after each step of a trace (n = 1..len)."""
+class _StateChain(Sequence):
+    """Read-only CoupledStates, nine doubles each in one array("d"), which holds every field exactly."""
+
+    def __init__(self, fields):
+        self._fields = fields
+
+    def __len__(self) -> int:
+        return len(self._fields) // 9
+
+    def __getitem__(self, i: int) -> CoupledState:
+        k = range(0, len(self._fields), 9)[i]  # IndexError past either end
+        n, w, s, *rest = self._fields[k:k + 9]
+        return CoupledState(int(n), int(w), int(s), *rest)
+
+    def __iter__(self):
+        n, w, s, *rest = (memoryview(self._fields)[j::9] for j in range(9))  # strided, not copied
+        return map(CoupledState._make, zip(map(int, n), map(int, w), map(int, s), *rest))
+
+
+def coupled_states_along(trace: WalkTrace) -> Sequence:
+    """Read-only sequence of the CoupledState after each step of a trace (n = 1..len)."""
     for g in trace.letters:
         if g not in LETTERS:
             raise ValueError(f"not a generator: {g!r}")
+    from array import array  # here, so a process that builds no chain does not load it (72 KiB)
+    from struct import Struct
+
     q = trace.params.q
-    states = []
+    fields = array("d", (0.0,)) * (9 * len(trace.letters))
+    pack = Struct("9d").pack_into
     st = CoupledState()
-    for g in trace.letters:
+    for k, g in enumerate(trace.letters):
         st = _step(st, 1 if g == "a" else -1, q)
-        states.append(st)
-    return states
+        pack(fields, 72 * k, *st)
+    return _StateChain(fields)
 
 
 def verify_coupling(trace: WalkTrace) -> bool:

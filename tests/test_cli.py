@@ -158,6 +158,18 @@ class TestMoments:
         assert code == 0
         assert out_file.read_text().startswith("k,H,I,a_k\n1,1,1,1\n")
 
+    def test_csv_replaces_an_existing_file(self, capsys, tmp_path):
+        # written through a symlink, with the old file's mode, and nothing left beside it
+        out_file, link = tmp_path / "m.csv", tmp_path / "link.csv"
+        out_file.write_text("old contents\n")
+        out_file.chmod(0o640)
+        link.symlink_to(out_file)
+        code, _, _ = run_cli(capsys, "moments", "--q", "0", "--n-max", "4", "--out", str(link))
+        assert code == 0
+        assert out_file.read_text().startswith("k,H,I,a_k\n1,1,1,1\n")
+        assert link.is_symlink() and out_file.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "m.csv"]
+
 
 class TestFigure:
     def test_grid_csv(self, capsys, tmp_path):
@@ -243,6 +255,19 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "derw: error: cannot write " in captured.err
+
+    @pytest.mark.parametrize("argv", (
+        ("moments", "--q", "0.3", "--n-max", "0", "--out", "{keep}"),
+        ("simulate", "--q", "0.3", "--steps", "0", "--trace", "{keep}"),
+    ), ids=("moments", "simulate"))
+    def test_rejected_argument_keeps_the_output_file(self, capsys, tmp_path, argv):
+        keep = tmp_path / "keep.csv"
+        keep.write_text("old contents\n")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(keep=keep) for a in argv])
+        assert exc.value.code == 2
+        assert keep.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["keep.csv"]
 
     def test_missing_memory_parameter(self):
         with pytest.raises(SystemExit) as exc:

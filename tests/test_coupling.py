@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,27 @@ class TestAdvance:
         trace = WalkTrace(params=MemoryParams.from_q(0.3), letters=letters)
         with pytest.raises(ValueError, match="not a generator: 'c'"):
             coupled_states_along(trace)
+
+    def test_chain_memory_per_state(self):
+        # nine packed doubles are 72 B a state; a list of CoupledState
+        # tuples of boxed numbers took about 340 here
+        steps = 20_000
+        trace = simulate_walk(MemoryParams.from_q(0.5), steps, replication_stream(3, 0))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            states = coupled_states_along(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(states) == steps
+        assert (peak - before) / steps < 200
+
+    def test_packed_states_keep_every_bit(self):
+        st = CoupledState(3, -1, 1, -0.0, 5e-324, -0.0, 1.0, -2.5, -0.0)
+        chain = coupling._StateChain(array("d", st * 2))
+        assert [repr(x) for x in chain] == [repr(chain[0]), repr(chain[-1])] == [repr(st)] * 2
 
     def test_zero_memory_kills_corrections(self):
         params = MemoryParams.from_q(0.0)

@@ -111,7 +111,8 @@ class TestEngine:
     @pytest.mark.parametrize("q", [-1.0, 0.0, 0.3, 1.0])
     def test_public_chain_matches_engine(self, q):
         # simulate_walk + coupled_states_along, the scalar reference, on the
-        # engine's row streams; and coupled_states_along against advance
+        # engine's row streams; and coupled_states_along against advance,
+        # field by field by repr, which tells 0.0 from -0.0 and 1 from 1.0
         params = MemoryParams.from_q(q)
         steps, snap_steps = 2000, (1, 2, 999, 1999, 2000)
         ens = sample_paths(q, steps, 3, SEED, snapshot_steps=snap_steps)
@@ -124,9 +125,17 @@ class TestEngine:
             for m in snap_steps:
                 assert states[m - 1].S == ens.snapshots[m][i]
             st = CoupledState()
+            chain = []
             for g, state in zip(trace.letters, states, strict=True):
                 st = advance(st, g, params)
-                assert st == state
+                assert repr(st) == repr(state)
+                chain.append(st)
+            assert len(states) == steps
+            for k in (0, 1, steps // 2, steps - 1, -1, -2, -steps):
+                assert repr(states[k]) == repr(chain[k])
+            for k in (steps, -steps - 1):
+                with pytest.raises(IndexError):
+                    states[k]
 
     @pytest.mark.parametrize("q", (-0.5, 0.3, 0.8))
     def test_splits_exactly_at_step_prob_a(self, monkeypatch, fresh_store, q):
