@@ -2,8 +2,8 @@
 
 Replications are evolved in lockstep as numpy vectors, but each replication
 consumes exactly one uniform per step from its own counter-based stream
-(Philox keyed by master_seed and the replication index), so row i is the
-same in every ensemble of at least i + 1 rows.  That is what
+(Philox keyed by master_seed and the replication index; see _philox), so
+row i is the same in every ensemble of at least i + 1 rows.  That is what
 lets sample_paths compute each ensemble once per process and answer
 narrower requests from stored rows.
 
@@ -33,12 +33,15 @@ KS_MIN_SAMPLES = 100
 def replication_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent reproducible stream for one replication.
 
-    Philox is counter-based, and the spawn-key derivation keeps streams
-    independent across indices while staying a pure function of
-    (master_seed, index).
+    Philox is counter-based, and numpy's spawn-key derivation of its key
+    keeps streams independent across indices while staying a pure function
+    of (master_seed, index).  A negative seed or an index outside [0, 2^32)
+    raises ValueError.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+    global _philox
+    if _philox is None:             # at the first stream, not at import
+        from . import _philox
+    return _philox.stream(master_seed, index)
 
 
 @dataclass
@@ -61,7 +64,7 @@ class PathStats:
     qv_resid_max: Optional[np.ndarray] = None
     snapshots: Dict[int, np.ndarray] = field(default_factory=dict)
     # perf_counter seconds of the pass this call ran, by part: "fill"
-    # (uniforms), "steps" (the step loop, snapshots included) and
+    # (streams and uniforms), "steps" (the step loop, snapshots included) and
     # "collectors", read at fill-chunk and collector-block edges, never per
     # step; empty when the store answered the call
     seconds: Dict[str, float] = field(default_factory=dict)
@@ -79,6 +82,8 @@ class PathStats:
 # request for at most that many rows.
 _ENSEMBLES: Dict[tuple, Dict[object, tuple]] = {}
 _UNIFORMS = np.empty(0)
+_philox = None
+_TILE = 128                     # streams per staging block of the uniform fill
 
 
 def sample_paths(
@@ -106,6 +111,7 @@ def sample_paths(
     of stored rows.  So after one collector pass, a collector request on
     no more rows evolves nothing.
     """
+    steps, reps = _integer("steps", steps), _integer("reps", reps)
     if steps < 1 or reps < 1:
         raise ValueError("steps and reps must be at least 1")
     if not -1.0 <= q <= 1.0:
@@ -114,9 +120,7 @@ def sample_paths(
     bad = collect - {"qsl", "lil", "doob"}
     if bad:
         raise ValueError(f"unknown collectors: {sorted(bad)}")
-    if not all(float(s).is_integer() for s in snapshot_steps):
-        raise ValueError(f"snapshot steps must be integers, got {list(snapshot_steps)}")
-    snapshot_steps = sorted(set(int(s) for s in snapshot_steps))
+    snapshot_steps = sorted({_integer("snapshot steps", s) for s in snapshot_steps})
     if snapshot_steps and not (1 <= snapshot_steps[0] and snapshot_steps[-1] <= steps):
         raise ValueError("snapshot steps must lie in [1, steps]")
     if "qsl" in collect and steps < 2:
@@ -149,17 +153,25 @@ def sample_paths(
     return out
 
 
-def _uniform_buffer(chunk: int, reps: int) -> np.ndarray:
-    """A (chunk, reps) view of one buffer kept across calls.
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError naming it unless it is integral (3.0, np.int64(3))."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be integers, got {value!r}")
+    return int(value)
+
+
+def _uniform_buffer(chunk: int, reps: int, tile: int) -> tuple:
+    """A (chunk, reps) view and a tile * chunk staging block, of one buffer kept across calls.
 
     At 10k reps the buffer is just under glibc's largest mmap threshold;
     freeing it after every ensemble would move later ones onto the heap,
     where stored ensembles pin them, and raise peak memory.
     """
     global _UNIFORMS
-    if _UNIFORMS.size < chunk * reps:
-        _UNIFORMS = np.empty(chunk * reps)
-    return _UNIFORMS[:chunk * reps].reshape(chunk, reps)
+    size = chunk * (reps + tile)
+    if _UNIFORMS.size < size:
+        _UNIFORMS = np.empty(size)
+    return _UNIFORMS[:chunk * reps].reshape(chunk, reps), _UNIFORMS[chunk * reps:size]
 
 
 def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
@@ -190,10 +202,14 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
     two rows, and S and NC are updated in place.  With collect true the ring
     holds a block of steps, and _Collectors reads each block once its last
     row is written.
+
+    Each tile of _TILE streams draws a chunk into the rows of a cache-sized
+    staging block, which one transposed copy moves into the tile's columns
+    of the uniforms: written down a column, each draw takes a cache line.
     """
     snaps = {m: np.empty(reps, dtype=np.int64) for m in snapshot_steps}
-    streams = [replication_stream(master_seed, i) for i in range(reps)]
-    chunk = int(max(64, min(8192, (1 << 22) // reps)))
+    tile = min(_TILE, reps)
+    chunk = int(max(64, min(1024, (1 << 22) // (reps + tile))))
     ring = int(max(2, min(chunk, (1 << 16) // reps))) if collect else 2
 
     half, one, c_q, c_hq, c_qq = (np.array(v) for v in (0.5, 1.0, q, 0.5 * q, q * q))
@@ -213,13 +229,18 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
     collectors = _Collectors(q, reps, ring) if collect else None
 
     seconds = {"fill": 0.0, "steps": 0.0, "collectors": 0.0}
-    u_buf = _uniform_buffer(chunk, reps)
+    u_buf, staging = _uniform_buffer(chunk, reps, tile)
     clock = time.perf_counter()
+    streams = [replication_stream(master_seed, i) for i in range(reps)]
     n = 0                                           # time before the step
     for m0 in range(0, steps, chunk):
         c_eff = min(chunk, steps - m0)
-        for i, st in enumerate(streams):
-            u_buf[:c_eff, i] = st.random(c_eff)
+        block = staging[:tile * c_eff].reshape(tile, c_eff)
+        for j in range(0, reps, tile):
+            draws = block[:min(tile, reps - j)]
+            for st, row in zip(streams[j:j + tile], draws):
+                st.random(out=row)
+            u_buf[:c_eff, j:j + tile] = draws.T
         clock = _lap(seconds, "fill", clock)
         lo = 0
         while lo < c_eff:                           # a block: steps first.. on rows r0..

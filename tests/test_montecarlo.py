@@ -1,10 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dihedral_erw import montecarlo
+import dihedral_erw
+from dihedral_erw import _philox, montecarlo
 from dihedral_erw.coupling import CoupledState, advance, coupled_states_along, encode_increment
 from dihedral_erw.group import MemoryParams, simulate_walk, step_prob_a
 from dihedral_erw.moments import r_norm
@@ -38,6 +44,34 @@ class TestStreams:
         chunked = np.concatenate([s1.random(5), s1.random(3)])
         scalar = np.array([s2.random() for _ in range(8)])
         assert np.array_equal(chunked, scalar)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**32 + 7, 2**64 + 1, 2**130 + 5))
+    def test_keys_match_numpy_seed_sequence(self, monkeypatch, seed):
+        # numpy's SeedSequence is the oracle of the vectorised key derivation;
+        # 9999 lies past the first block of derived keys, and 2^130 + 5 has
+        # more words than the pool
+        monkeypatch.setattr(_philox, "_KEYS", {})
+        for i in (0, 1, 127, 128, 9999):
+            ref = np.random.SeedSequence(seed, spawn_key=(i,))
+            expect = np.random.Generator(np.random.Philox(ref)).random(64)
+            assert np.array_equal(replication_stream(seed, i).random(64), expect), i
+        assert np.array_equal(replication_stream(seed, 9999).random(64), expect)
+
+    def test_refuses_negative_seed_and_wide_index(self):
+        for seed, index in ((-1, 0), (0, -1), (0, 2**32)):
+            with pytest.raises(ValueError):
+                replication_stream(seed, index)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # a process that builds no stream, such as an exact computation,
+        # loads neither numpy.random nor the stream module
+        probe = ("import sys\nimport dihedral_erw, dihedral_erw.cli, dihedral_erw.montecarlo\n"
+                 "print(sorted(m for m in sys.modules\n"
+                 "             if m.startswith(('numpy.random', 'dihedral_erw._philox'))))")
+        src = str(Path(dihedral_erw.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 FIELDS = ("W", "S", "Xi", "Ztilde", "QV", "qsl_sum", "lil_pos", "lil_neg",
@@ -152,8 +186,8 @@ class TestEngine:
             s_path.append((s_path[-1] if n else 0) + encode_increment(n + 1, "a" if choose[n] else "b"))
 
         class Uniforms:
-            def random(self, size):
-                return u[:size]
+            def random(self, out):
+                out[:] = u[:out.size]
 
         monkeypatch.setattr(montecarlo, "replication_stream", lambda seed, index: Uniforms())
         ens = sample_paths(q, steps, 1, SEED, snapshot_steps=range(1, steps + 1))
@@ -161,8 +195,8 @@ class TestEngine:
         assert [int(ens.snapshots[m][0]) for m in range(1, steps + 1)] == s_path
 
     # Pinned bits of the engine.  At 100 rows a collector block ends at step
-    # 654 and every 655 steps after it, and a uniform chunk every 8192 steps;
-    # the snapshots sit on and next to both edges.
+    # 654 and every 655 steps after it, and a uniform chunk every 1024 steps
+    # (8192 is one such edge); the snapshots sit on and next to both edges.
     @pytest.mark.parametrize("q, steps, reps, collect, snaps, expect", [
         (0.5, 20_000, 100, ("qsl", "lil", "doob"),
          (1, 653, 654, 655, 656, 1309, 1310, 8191, 8192, 8193, 19_999, 20_000),
@@ -175,6 +209,34 @@ class TestEngine:
     def test_golden_digests(self, fresh_store, q, steps, reps, collect, snaps, expect):
         assert digest(sample_paths(q, steps, reps, 3, collect=collect,
                                    snapshot_steps=snaps)) == expect
+
+    def test_tile_and_chunk_edges_match_scalar_chain(self, monkeypatch, fresh_store):
+        # 300 rows end in a partial staging tile, and 2100 steps cross two
+        # uniform chunk edges; rows sit on and next to the first tile edge
+        monkeypatch.setattr(montecarlo, "_UNIFORMS", np.empty(0))
+        q, steps, reps, tile = 0.3, 2100, 300, montecarlo._TILE
+        snap_steps = (1, 1023, 1024, 1025, 2047, 2048, 2049, steps)
+        ens = sample_paths(q, steps, reps, SEED, snapshot_steps=snap_steps)
+        for i in (0, tile - 1, tile, tile + 1, reps - 1):
+            trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(SEED, i))
+            states = coupled_states_along(trace)
+            last = states[-1]
+            assert (repr((last.W, last.S, last.Xi, last.Ztilde, last.QV))
+                    == repr((int(ens.W[i]), int(ens.S[i]), float(ens.Xi[i]),
+                             float(ens.Ztilde[i]), float(ens.QV[i])))), i
+            assert [states[m - 1].S for m in snap_steps] == [ens.snapshots[m][i] for m in snap_steps]
+        # no larger than the column-by-column fill's buffer at this width
+        assert montecarlo._UNIFORMS.size <= max(64, min(8192, 2**22 // reps)) * reps
+
+    def test_fill_seconds_include_stream_construction(self, monkeypatch, fresh_store):
+        real = montecarlo.replication_stream
+
+        def slow(seed, index):
+            time.sleep(0.002)
+            return real(seed, index)
+
+        monkeypatch.setattr(montecarlo, "replication_stream", slow)
+        assert sample_paths(0.3, 50, 16, SEED).seconds["fill"] >= 0.032
 
     @pytest.mark.parametrize("steps", (2, LIL_START - 1, LIL_START))
     def test_collectors_at_short_horizons(self, fresh_store, steps):
@@ -251,6 +313,20 @@ class TestEngine:
             sample_paths(0.0, LIL_START - 1, 2, 1, collect=("lil",))
         with pytest.raises(ValueError):                 # log 1 = 0, as in qsl_statistic
             sample_paths(0.3, 1, 3, 1, collect=("qsl",))
+
+    def test_integral_steps_and_reps(self, fresh_store):
+        expect = sample_paths(0.5, 100, 3, 1)
+        for steps, reps in ((100.0, 3), (100, 3.0), (np.int64(100), np.int64(3))):
+            fresh_store()
+            got = sample_paths(0.5, steps, reps, 1)
+            assert (type(got.steps), type(got.reps)) == (int, int)
+            assert_same_rows(expect, got)
+        with pytest.raises(ValueError, match="steps must be integers"):
+            sample_paths(0.5, 100.5, 3, 1)
+        with pytest.raises(ValueError, match="reps must be integers"):
+            sample_paths(0.5, 100, 3.5, 1)
+        with pytest.raises(ValueError):
+            sample_paths(0.5, 100, 3, -1)
 
 
 class TestEnsembleStore:
