@@ -45,7 +45,6 @@ from .quadrature import (
     QuadratureResult,
     figure_grid,
     gauss_2f1,
-    i_factor,
     integrate,
     j1,
     j2,

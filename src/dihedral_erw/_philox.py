@@ -12,30 +12,24 @@ indices at once, and numpy's SeedSequence stays the tests' oracle.
 
 from __future__ import annotations
 
-import operator
-from typing import Dict
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
 from numpy.random.bit_generator import ISeedSequence, SeedSequence
 
-# master_seed -> keys of replications 0.., grown by doubling
-_KEYS: Dict[int, np.ndarray] = {}
-
 
 def stream(master_seed: int, index: int) -> Generator:
-    """The stream of replication index under master_seed; ValueError outside [0, 2^32)."""
-    master_seed, index = operator.index(master_seed), operator.index(index)
+    """The stream of replication index under an int seed >= 0; ValueError outside [0, 2^32)."""
     if not 0 <= index < 1 << 32:
         raise ValueError(f"replication index must lie in [0, 2^32), got {index}")
-    known = _KEYS.get(master_seed, ())
-    if index >= len(known):
-        rows = max(2 * len(known), 1024)
-        if index >= rows:               # far past the rows in use: this key alone
-            known, index = keys(master_seed, index, index + 1), 0
-        else:
-            known = _KEYS[master_seed] = keys(master_seed, 0, rows)
-    return Generator(Philox(_Key(known[index])))
+    return Generator(Philox(_Key(_block(master_seed, index >> 10)[index & 1023])))
+
+
+@lru_cache(maxsize=64)
+def _block(master_seed: int, block: int) -> np.ndarray:
+    """Keys of replications 1024 block .. 1024 block + 1023; the cache holds at most 1 MiB."""
+    return keys(master_seed, block << 10, (block + 1) << 10)
 
 
 class _Key(ISeedSequence):
@@ -53,8 +47,7 @@ def keys(master_seed: int, start: int, stop: int) -> np.ndarray:
 
     SeedSequence(master_seed).pool is the pool before the spawn key, after 4
     hashmix calls per 32-bit word of the seed (4 words at least); the rest of
-    numpy's hash runs here on uint32 arrays over the index.  SeedSequence
-    itself refuses a negative seed with ValueError.
+    numpy's hash runs here on uint32 arrays over the index.
     """
     pool, u32, mask = SeedSequence(master_seed).pool, np.uint32, 0xFFFFFFFF
     words = max(4, -(-master_seed.bit_length() // 32))

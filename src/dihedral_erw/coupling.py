@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, reduce_left_multiply,
-                    signed_location, step_prob_a)
+from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, _check_int,
+                    reduce_left_multiply, signed_location, step_prob_a)
 
 
 def encode_increment(n: int, g: str) -> int:
@@ -204,9 +204,7 @@ def exhaustive_coupling_check(depth: int) -> int:
     O(depth^2) cost.  Returns the number of sequences checked (2^depth);
     raises AssertionError on the first mismatch.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-
+    depth = _check_int(depth, "depth")
     layer = {(GroupWord.identity(), 0): 1}
     for n in range(1, depth + 1):
         nxt = {}

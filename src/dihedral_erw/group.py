@@ -7,6 +7,7 @@ position is a reduced word whose letters strictly alternate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -168,6 +169,23 @@ def _check_q(q: float) -> float:
     return q
 
 
+def _check_int(value, name: str, least: int = 1) -> int:
+    """value as an int >= least, else ValueError naming it: the check of every integer argument.
+
+    An int of any size or a numpy integer passes operator.index unchanged, with no float
+    round trip; an integral float such as 100.0 becomes 100, and a str, 10.5, nan or inf fails.
+    """
+    try:
+        out = operator.index(value)
+    except TypeError:
+        if not (isinstance(value, (float, np.floating)) and value.is_integer()):
+            raise ValueError(f"{name} must be integers, got {value!r}") from None
+        out = int(value)
+    if out < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return out
+
+
 def step_prob_a(q, W, n):
     """P(the next letter is a) after n >= 0 steps with W = #a - #b.
 
@@ -238,8 +256,7 @@ def simulate_walk(params: MemoryParams, steps: int, rng) -> WalkTrace:
     gives the same doubles as successive scalar draws; that pins the path
     to the injected stream.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    steps = _check_int(steps, "steps")
     q = params.q
     letters = []
     positions = [_word(0, None)]

@@ -28,14 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from .coupling import encode_increment, exhaustive_coupling_check
-from .group import MemoryParams, _check_q, step_prob_a
+from .group import MemoryParams, _check_int, _check_q, step_prob_a
 from .quadrature import gauss_2f1, i_factor_table
 
 
 def h_moment(k: int, q: float) -> float:
     """E[W_k^2] by the defining recursion."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _check_int(k, "k")
     return float(h_moment_table(k, q)[k])
 
 
@@ -69,9 +68,7 @@ def h_moment_table(n: int, q: float) -> np.ndarray:
     can be zero or negative, so H(2) and H(3) come one step at a time, and
     _recurrence solves the rest, where every a_k is positive.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = _check_q(q)
+    n, q = _check_int(n, "n"), _check_q(q)
     out = np.empty(n + 1)
     out[0], out[1] = np.nan, 1.0
     for k in range(1, min(n, 3)):
@@ -96,7 +93,7 @@ def var_ztilde_exact(n: int, q: float) -> float:
     beside t_1 = 1 (odd n) or t_1 + t_2 = (1 - q)/2 (even n).  G starts at G_2 = -(1 + q), as
     a_1 = 1 + q vanishes at q = -1; pairs are summed per block of G, never over a whole G array.
     """
-    q = _check_q(q)
+    n, q = _check_int(n, "n"), _check_q(q)
     h = h_moment_table(n, q)
     odd = n % 2
     sign = 1.0 if odd else -1.0  # (-1)^k at every pair's first k
@@ -125,7 +122,7 @@ def t1(n: int, q: float) -> float:
     factor of J1.  This form has no pole: at k = 1, q = -1 the term is 1.
     The n Gauss factors come from one array call of gauss_2f1.
     """
-    q = _check_q(q)
+    n, q = _check_int(n, "n"), _check_q(q)
     h = h_moment_table(n, q)
     k = np.arange(1, n + 1, dtype=float)
     gauss = gauss_2f1(1.0, k + q, k + 2.0, -1.0)
@@ -138,9 +135,7 @@ def t2(n: int, q: float) -> float:
     J2(n, q) = 2F1(1, n+q+1; n+2; -1) / I(n+1, q) as in quadrature.j2; one
     table to n + 1 gives I(n+1) and the a_k.  fsum adds the cancelling sum exactly.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = _check_q(q)
+    n, q = _check_int(n, "n"), _check_q(q)
     table = MomentTable.build(n + 1, q)
     signed = table.a[:n]
     signed[-2::-2] *= -1.0          # (-1)^(n-k) a_k; sign flips are exact
@@ -176,7 +171,7 @@ class MomentTable:
     def build(cls, n: int, q: float) -> "MomentTable":
         h = h_moment_table(n, q)[1:]
         i = i_factor_table(n, q)[1:]
-        k = np.arange(1, n + 1)
+        k = np.arange(1, len(h) + 1)
         return cls(k=k, H=h, I=i, a=h * i / k.astype(float) ** 2)
 
 
@@ -219,8 +214,7 @@ def enumerate_exact(n: int, params: MemoryParams, cov_pairs: Sequence = ()) -> E
     increments come from encode_increment.  Cost is O(n^2).  coupling_ok is
     the exhaustive coupling check over every sequence of length n.
     """
-    if n < 1:
-        raise ValueError("enumeration horizon must be at least 1")
+    n = _check_int(n, "n")
     for k, l in cov_pairs:
         if not (1 <= k <= n and 1 <= l <= n):
             raise ValueError(f"cov pair ({k},{l}) out of range for n={n}")

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from .group import _check_int
 from .moments import t2
 
 LIL_START = 100                # first step of the lil collector's running max
@@ -35,10 +36,11 @@ def replication_stream(master_seed: int, index: int) -> np.random.Generator:
 
     Philox is counter-based, and numpy's spawn-key derivation of its key
     keeps streams independent across indices while staying a pure function
-    of (master_seed, index).  A negative seed or an index outside [0, 2^32)
-    raises ValueError.
+    of (master_seed, index).  Both are integers >= 0 (group._check_int), and
+    an index of 2^32 or more raises ValueError too.
     """
     global _philox
+    master_seed, index = _check_int(master_seed, "master_seed", 0), _check_int(index, "index", 0)
     if _philox is None:             # at the first stream, not at import
         from . import _philox
     return _philox.stream(master_seed, index)
@@ -111,17 +113,16 @@ def sample_paths(
     of stored rows.  So after one collector pass, a collector request on
     no more rows evolves nothing.
     """
-    steps, reps = _integer("steps", steps), _integer("reps", reps)
-    if steps < 1 or reps < 1:
-        raise ValueError("steps and reps must be at least 1")
+    steps, reps = _check_int(steps, "steps"), _check_int(reps, "reps")
+    master_seed = _check_int(master_seed, "master_seed", 0)
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [-1, 1], got {q}")
     collect = set(collect)
     bad = collect - {"qsl", "lil", "doob"}
     if bad:
         raise ValueError(f"unknown collectors: {sorted(bad)}")
-    snapshot_steps = sorted({_integer("snapshot steps", s) for s in snapshot_steps})
-    if snapshot_steps and not (1 <= snapshot_steps[0] and snapshot_steps[-1] <= steps):
+    snapshot_steps = sorted({_check_int(s, "snapshot steps") for s in snapshot_steps})
+    if snapshot_steps and snapshot_steps[-1] > steps:
         raise ValueError("snapshot steps must lie in [1, steps]")
     if "qsl" in collect and steps < 2:
         raise ValueError("qsl collection needs steps >= 2")
@@ -151,13 +152,6 @@ def sample_paths(
             out.lil_pos, out.lil_neg = lil_pos, lil_neg
     out.snapshots = {m: rows(m)[0] for m in snapshot_steps}
     return out
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; ValueError naming it unless it is integral (3.0, np.int64(3))."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be integers, got {value!r}")
-    return int(value)
 
 
 def _uniform_buffer(chunk: int, reps: int, tile: int) -> tuple:
@@ -409,7 +403,7 @@ def t2_rate_fit(q: float, n_list: Sequence[int]) -> SlopeFit:
     identically at even n (the alternating a_k sum telescopes to 0), so
     exact zeros and underflows are dropped from the fit and reported.
     """
-    ns = [int(n) for n in n_list]
+    ns = [_check_int(n, "n") for n in n_list]
     if len(ns) < 4 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("need an increasing n list with at least 4 points")
     if ns[-1] < 100 * ns[0]:

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .group import _check_q
+from .group import _check_int, _check_q
 
 DEFAULT_TOL = 1e-10
 _T_MAX = 6.0  # exp(pi*sinh(6)) stays inside double range
@@ -169,28 +169,15 @@ def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
     return q * q * var_ztilde_infinity(q, tol)
 
 
-def i_factor(k: int, q: float) -> float:
-    """Normaliser I(k, q) = Gamma(k+1) / (Gamma(k+q) Gamma(1-q)).
-
-    At k + q = 0 (only k = 1, q = -1) the gamma in the denominator has a
-    pole and I is 0.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return float(i_factor_table(k, q)[k])
-
-
 def i_factor_table(n: int, q: float) -> np.ndarray:
-    """I(k, q) for k = 1..n (index 0 is nan), as a running product.
+    """Normaliser I(k, q) = Gamma(k+1) / (Gamma(k+q) Gamma(1-q)) for k = 1..n (index 0 is nan).
 
-    I(k+1) = I(k) (k+1)/(k+q), anchored at I(2) = 2/(Gamma(2+q) Gamma(1-q)),
+    A running product I(k+1) = I(k) (k+1)/(k+q), anchored at I(2) = 2/(Gamma(2+q) Gamma(1-q)),
     whose gammas have no pole for q in [-1, 1).  I(1) = I(2) (1+q)/2 is then
-    exactly 0 at q = -1.  The product keeps I within 1e-11 of the 40-digit
+    exactly 0 at q = -1, the pole of Gamma(k+q).  The product keeps I within 1e-11 of the 40-digit
     value for k <= 1e5; exp of a log-gamma difference was 1.5e-10 off there.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = _check_q(q)
+    n, q = _check_int(n, "n"), _check_q(q)
     out = np.empty(n + 1)
     out[0] = np.nan
     if q == 0.0:
@@ -212,12 +199,10 @@ def j1(k: int, q: float) -> float:
     Gamma(x+1) = x Gamma(x) the beta function is (1-q)/((k+1) I(k, q)),
     with I(1, -1) = 0 at its pole.  moments.t1 forms the same terms.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    q = _check_q(q)
+    k, q = _check_int(k, "k"), _check_q(q)
     if k + q <= 0.0:
         raise ValueError(f"need k + q > 0, got k={k}, q={q}")
-    return (1.0 - q) / ((k + 1) * i_factor(k, q)) * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
+    return (1.0 - q) / ((k + 1) * float(i_factor_table(k, q)[k])) * gauss_2f1(1.0, k + q, k + 2.0, -1.0)
 
 
 def j2(n: int, q: float) -> float:
@@ -227,10 +212,8 @@ def j2(n: int, q: float) -> float:
     and B(n+q+1, 1-q) = 1/I(n+1, q).  The 2F1 factor lies in (1/2, 1), so
     1/I(n+1, q) is the envelope of J2.  moments.t2 forms the same value.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = _check_q(q)
-    return gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0) / i_factor(n + 1, q)
+    n, q = _check_int(n, "n"), _check_q(q)
+    return gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0) / float(i_factor_table(n + 1, q)[n + 1])
 
 
 def gauss_2f1(a: float, b: float | np.ndarray, c: float | np.ndarray,

@@ -46,16 +46,16 @@ class TestStreams:
         assert np.array_equal(chunked, scalar)
 
     @pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**32 + 7, 2**64 + 1, 2**130 + 5))
-    def test_keys_match_numpy_seed_sequence(self, monkeypatch, seed):
+    def test_keys_match_numpy_seed_sequence(self, seed):
         # numpy's SeedSequence is the oracle of the vectorised key derivation;
-        # 9999 lies past the first block of derived keys, and 2^130 + 5 has
-        # more words than the pool
-        monkeypatch.setattr(_philox, "_KEYS", {})
-        for i in (0, 1, 127, 128, 9999):
+        # 1023 and 1024 sit on either side of a key block's edge, 2^32 - 1 is
+        # in the last block, and 2^130 + 5 has more words than the pool
+        _philox._block.cache_clear()
+        for i in (0, 1, 127, 128, 1023, 1024, 9999, 2**32 - 1):
             ref = np.random.SeedSequence(seed, spawn_key=(i,))
             expect = np.random.Generator(np.random.Philox(ref)).random(64)
             assert np.array_equal(replication_stream(seed, i).random(64), expect), i
-        assert np.array_equal(replication_stream(seed, 9999).random(64), expect)
+        assert np.array_equal(replication_stream(seed, 2**32 - 1).random(64), expect)  # cached
 
     def test_refuses_negative_seed_and_wide_index(self):
         for seed, index in ((-1, 0), (0, -1), (0, 2**32)):
