@@ -15,6 +15,7 @@ variation of Xi is <Xi>_n = n - q^2 * sum_{k<n} W_k^2/k^2.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from struct import Struct
 from typing import NamedTuple
 
 from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, _check_int,
@@ -66,51 +67,58 @@ class CoupledState(NamedTuple):
             raise ValueError("S out of range or with wrong parity")
 
 
-def _kahan_add(total: float, comp: float, inc: float) -> tuple:
-    y = inc - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+_PACK = Struct("9d").pack_into   # one CoupledState as nine doubles
 
 
-def _neumaier_add(total: float, corr: float, x: float) -> tuple:
-    t = total + x
-    if abs(total) >= abs(x):
-        corr += (total - t) + x
-    else:
-        corr += (x - t) + total
-    return t, corr
+def _steps(state: CoupledState, letters, q: float, fields, stride: int) -> CoupledState:
+    """The state after each letter of letters in turn, from state; returns the last one.
 
-
-def _step(state: CoupledState, dw: int, q: float) -> CoupledState:
-    """The state after one more step with W-increment dw = +-1 (a is +1).
-
-    The drift and the Ztilde and QV increments are formed from
-    w = W_n / max(n, 1), as in step_prob_a; at n = 0, W_0 = 0 makes all
-    three exactly 0.  No checks: advance and coupled_states_along make them.
+    State k + 1 (k = 0, 1, ...) is packed as nine doubles at byte k * stride
+    of fields, so a stride of 72 keeps the chain and 0 only the last state.
+    This is the scalar step arithmetic, the reference for the Monte Carlo
+    engine: Xi and Ztilde are Kahan sums and the QV correction a Neumaier
+    sum, all kept in local variables.  The drift and the Ztilde and QV
+    increments are formed from w = W_n / max(n, 1), as in step_prob_a; at
+    n = 0, W_0 = 0 makes all three exactly 0.
     """
-    n = state.n
-    sgn = 1 if n % 2 == 0 else -1  # (-1)^n; epoch n+1 is odd iff n is even
-    ds = sgn * dw
-
-    w = state.W / max(n, 1)
-    drift = sgn * q * w
-    zt_inc = sgn * w
-    qv_inc = (q * q) * (w * w)
-
-    xi, xi_comp = _kahan_add(state.Xi, state.xi_comp, ds - drift)
-    zt, zt_comp = _kahan_add(state.Ztilde, state.zt_comp, zt_inc)
-    qv_corr, qv_comp = _neumaier_add(state.qv_corr, state.qv_comp, qv_inc)
-    return CoupledState(n + 1, state.W + dw, state.S + ds, xi, zt,
-                        xi_comp, zt_comp, qv_corr, qv_comp)
+    pack = _PACK
+    n, W, S, xi, zt, xi_comp, zt_comp, qv_corr, qv_comp = state
+    qq, at = q * q, 0
+    for g in letters:
+        if g == "a":
+            dw = 1
+        elif g == "b":
+            dw = -1
+        else:
+            raise ValueError(f"not a generator: {g!r}")
+        sgn = -1 if n & 1 else 1    # (-1)^n; epoch n+1 is odd iff n is even
+        ds = sgn * dw
+        w = W / (n or 1)            # max(n, 1), n >= 0
+        y = (ds - sgn * q * w) - xi_comp
+        t = xi + y
+        xi_comp = (t - xi) - y
+        xi = t
+        y = sgn * w - zt_comp
+        t = zt + y
+        zt_comp = (t - zt) - y
+        zt = t
+        x = qq * (w * w)
+        t = qv_corr + x
+        if abs(qv_corr) >= abs(x):
+            qv_comp += (qv_corr - t) + x
+        else:
+            qv_comp += (x - t) + qv_corr
+        qv_corr = t
+        n, W, S = n + 1, W + dw, S + ds
+        pack(fields, at, n, W, S, xi, zt, xi_comp, zt_comp, qv_corr, qv_comp)
+        at += stride
+    return CoupledState(n, W, S, xi, zt, xi_comp, zt_comp, qv_corr, qv_comp)
 
 
 def advance(state: CoupledState, g: str, params: MemoryParams) -> CoupledState:
     """Advance the coupled state by one step taking letter g."""
     state.validate()
-    if g not in LETTERS:
-        raise ValueError(f"not a generator: {g!r}")
-    return _step(state, 1 if g == "a" else -1, params.q)
+    return _steps(state, (g,), params.q, bytearray(72), 0)
 
 
 def conditional_step_prob(state: CoupledState, params: MemoryParams) -> tuple:
@@ -167,20 +175,16 @@ class _StateChain(Sequence):
 
 def coupled_states_along(trace: WalkTrace) -> Sequence:
     """Read-only sequence of the CoupledState after each step of a trace (n = 1..len)."""
-    for g in trace.letters:
-        if g not in LETTERS:
-            raise ValueError(f"not a generator: {g!r}")
     from array import array  # here, so a process that builds no chain does not load it (72 KiB)
-    from struct import Struct
 
-    q = trace.params.q
     fields = array("d", (0.0,)) * (9 * len(trace.letters))
-    pack = Struct("9d").pack_into
-    st = CoupledState()
-    for k, g in enumerate(trace.letters):
-        st = _step(st, 1 if g == "a" else -1, q)
-        pack(fields, 72 * k, *st)
+    _steps(CoupledState(), trace.letters, trace.params.q, fields, 72)
     return _StateChain(fields)
+
+
+def final_coupled_state(trace: WalkTrace) -> CoupledState:
+    """The CoupledState after the last step of a trace, without the chain before it."""
+    return _steps(CoupledState(), trace.letters, trace.params.q, bytearray(72), 0)
 
 
 def verify_coupling(trace: WalkTrace) -> bool:

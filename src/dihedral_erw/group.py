@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 LETTERS = ("a", "b")
+_DRAWS = 4096                  # uniforms per fill in simulate_walk
 
 
 def complement(letter: str) -> str:
@@ -252,8 +253,8 @@ def simulate_walk(params: MemoryParams, steps: int, rng) -> WalkTrace:
 
     Every letter, the uniform first one included, is chosen by the
     sampler of sample_next_letter from the counts so far.  One uniform
-    per step is consumed, all of them in one rng.random(steps) fill, which
-    gives the same doubles as successive scalar draws; that pins the path
+    per step is consumed, in rng.random fills of _DRAWS at a time, which
+    give the same doubles as successive scalar draws; that pins the path
     to the injected stream.
     """
     steps = _check_int(steps, "steps")
@@ -261,9 +262,10 @@ def simulate_walk(params: MemoryParams, steps: int, rng) -> WalkTrace:
     letters = []
     positions = [_word(0, None)]
     W = 0
-    for n, u in enumerate(rng.random(steps).tolist()):
-        g = _letter(u, q, W, n)
-        W += 1 if g == "a" else -1
-        letters.append(g)
-        positions.append(reduce_left_multiply(g, positions[-1]))
+    for done in range(0, steps, _DRAWS):
+        for n, u in enumerate(rng.random(min(_DRAWS, steps - done)).tolist(), done):
+            g = _letter(u, q, W, n)
+            W += 1 if g == "a" else -1
+            letters.append(g)
+            positions.append(reduce_left_multiply(g, positions[-1]))
     return WalkTrace(params=params, letters=letters, positions=positions)

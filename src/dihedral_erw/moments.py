@@ -81,7 +81,7 @@ def h_moment_table(n: int, q: float) -> np.ndarray:
 def var_ztilde_exact(n: int, q: float) -> float:
     """E[Ztilde_{n+1}^2] for the alternating series Ztilde of W_k/k.
 
-    Ztilde_{k+1} = Ztilde_k + (-1)^k W_k/k (as in coupling._step) and
+    Ztilde_{k+1} = Ztilde_k + (-1)^k W_k/k (as in coupling._steps) and
     E[W_{k+1} | F_k] = (1 + q/k) W_k, so G_k = E[Ztilde_k W_k] obeys G_1 = 0,
     G_{k+1} = (1 + q/k) (G_k + (-1)^k H_k/k), with H_k = H(k, q), and the
     value is sum_{k<=n} t_k, t_k = H_k/k^2 + 2 (-1)^k G_k/k.  The halves of

@@ -173,29 +173,39 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
 
     Returns the store items and the pass's seconds (see PathStats).  Each
     step performs the same IEEE operations, in the same order, as the
-    scalar chain in coupling.advance, so every row is bit-identical to it;
+    scalar chain in coupling._steps, so every row is bit-identical to it;
     the letter is drawn with a buffered form of group.step_prob_a, so the
     scalar samplers turn each uniform into the same letter.
-    Only the number of numpy calls is kept small: results go to
-    preallocated buffers, constants are 0-d arrays, and accumulators of the
-    same shape are stacked and updated by one call.  Sign flips are exact,
+    A step is 16 numpy calls, and only their number is kept small: results
+    go to preallocated buffers, passed by position, constants are 0-d
+    arrays, and the two compensated sums are stacked and updated by one
+    call each.  Sign flips are exact, fl(a - b) = -fl(b - a) in value,
     which the stacking exploits:
 
     - dW = +1 iff u < p, so e = copysign(1, u - p) is -dW, ties included;
-    - the Kahan pair K holds (-Xi, Ztilde), whose increments are both
+    - the Kahan rows of Z hold (-Xi, Ztilde), whose increments are both
       (-1)^n times the row of P = (e + q w, w), w = W_n / max(n, 1);
-    - the Neumaier pair N holds (sum q^2 w^2, sum w^2), the latter only
+    - the Neumaier rows of Z hold (sum q^2 w^2, sum w^2), the latter only
       with collectors.  Its term at n = 1 is the largest (|w| <= 1 and the
       terms are non-negative), so the branch |sum| >= |term| is taken from
       n = 2 on; at n = 0 (term 0, as W_0 = 0) and n = 1 the sum is still 0
       and both branches give 0.
+    - V holds each row's input: over the Kahan rows P, formed in place,
+      then P + D or D - P, the Kahan y at even and odd n; over the
+      Neumaier rows the q^2 w^2 and w^2 terms.  D holds the carries: over
+      the Kahan rows the Kahan carry negated, kept from step to step, and
+      over the others the Neumaier term's rounding error, added to NC.  So
+      one sequence is both sums, each with its own IEEE operations:
+      Z' = Z + V, D = Z - Z', D += V, NC' = NC + D[Neumaier rows].  A carry
+      of 0 may come out as -0.0 where the scalar chain has +0.0 or the
+      reverse, but Z never holds -0.0 and P never does, so no sum sees it.
 
-    The step from time n reads S, K, N and N's carry NC from row n % ring
-    of a history ring and writes them to row (n + 1) % ring.  A bare pass
-    (collect false) needs only the last state: K and N alternate between
-    two rows, and S and NC are updated in place.  With collect true the ring
-    holds a block of steps, and _Collectors reads each block once its last
-    row is written.
+    The step from time n reads S, Z and NC from row n % ring of a history
+    ring and writes them to row (n + 1) % ring.  A bare pass (collect
+    false) needs only the last state: Z alternates between two rows, and S
+    and NC are updated in place.  With collect true the ring holds a block
+    of steps, and _Collectors reads each block once its last row is
+    written.
 
     Each tile of _TILE streams draws a chunk into the rows of a cache-sized
     staging block, which one transposed copy moves into the tile's columns
@@ -208,17 +218,17 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
 
     half, one, c_q, c_hq, c_qq = (np.array(v) for v in (0.5, 1.0, q, 0.5 * q, q * q))
     n_ = np.ones(())                                # max(n, 1), as in step_prob_a
-    W, e = np.zeros(reps), np.zeros(reps)
-    P, Y, KC = (np.zeros((2, reps)) for _ in range(3))
-    X, R = (np.zeros((2 if collect else 1, reps)) for _ in range(2))
-    w, P0, qv_term, w_sq = P[1], P[0], X[0], X[-1]
+    nz = 4 if collect else 3                        # Kahan rows 0, 1; Neumaier rows 2..
+    W, e, V, D = np.zeros(reps), np.zeros(reps), np.zeros((nz, reps)), np.zeros((nz, reps))
     kept = ring if collect else 1                   # a bare pass updates S and NC in place
-    S_h, K_h = np.zeros((kept, reps)), np.zeros((ring, 2, reps))
-    N_h, NC_h = np.zeros((ring,) + X.shape), np.zeros((kept,) + X.shape)
+    S_h, NC_h = np.zeros((kept, reps)), np.zeros((kept, nz - 2, reps))
+    Z_h = np.zeros((ring, nz, reps))
     # one view object per row: numpy takes a slower overlap path when out= is
     # another view of an input's memory, so in place must mean out is the input
+    P0, w, VK, DK, DN, qv_term = V[0], V[1], V[:2], D[:2], D[2:], V[2]
+    w_sq = V[3] if collect else qv_term
     S_rows, NC_rows = list(S_h), list(NC_h)
-    rows = [(S_rows[r % kept], K_h[r], N_h[r], NC_rows[r % kept]) for r in range(ring)]
+    rows = [(S_rows[r % kept], Z_h[r], NC_rows[r % kept]) for r in range(ring)]
     steps_to = [rows[r - 1] + rows[r] for r in range(ring)]     # states before, after
     collectors = _Collectors(q, reps, ring) if collect else None
 
@@ -243,47 +253,41 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
             hi = c_eff if collectors is None else min(c_eff, lo + ring - r0)
             for u in u_buf[lo:hi]:
                 m = n + 1
-                S, K, N, NC, S_new, K_new, N_new, NC_new = steps_to[m % ring]
-                np.divide(W, n_, out=w)
-                np.multiply(c_hq, w, out=e)
-                np.add(e, half, out=e)              # p = 1/2 + (q/2) w
-                np.subtract(u, e, out=e)
-                np.copysign(one, e, out=e)          # e = -dW
-                np.multiply(c_q, w, out=P0)
-                np.add(P0, e, out=P0)
-                if n & 1:                           # increments -P, so y = -(P + c)
-                    np.add(P, KC, out=Y)
-                    np.subtract(K, Y, out=K_new)
-                    np.subtract(K_new, K, out=KC)
-                    np.add(KC, Y, out=KC)
-                    np.add(S, e, out=S_new)
+                S, Z, NC, S_new, Z_new, NC_new = steps_to[m % ring]
+                np.divide(W, n_, w)
+                np.multiply(c_hq, w, e)
+                np.add(e, half, e)                  # p = 1/2 + (q/2) w
+                np.subtract(u, e, e)
+                np.copysign(one, e, e)              # e = -dW
+                np.multiply(c_q, w, P0)
+                np.add(P0, e, P0)
+                np.multiply(w, w, w_sq)
+                np.multiply(c_qq, w_sq, qv_term)
+                if n & 1:                           # increments -P
+                    np.subtract(DK, VK, VK)
+                    np.add(S, e, S_new)
                 else:
-                    np.subtract(P, KC, out=Y)
-                    np.add(K, Y, out=K_new)
-                    np.subtract(K_new, K, out=KC)
-                    np.subtract(KC, Y, out=KC)
-                    np.subtract(S, e, out=S_new)
-                np.multiply(w, w, out=w_sq)
-                np.multiply(c_qq, w_sq, out=qv_term)
-                np.add(N, X, out=N_new)             # Neumaier: c += (sum - t) + x
-                np.subtract(N, N_new, out=R)
-                np.add(R, X, out=R)
-                np.add(NC, R, out=NC_new)
-                np.subtract(W, e, out=W)
+                    np.add(VK, DK, VK)
+                    np.subtract(S, e, S_new)
+                np.add(Z, V, Z_new)
+                np.subtract(Z, Z_new, D)
+                np.add(D, V, D)
+                np.add(NC, DN, NC_new)
+                np.subtract(W, e, W)
                 if m in snaps:
                     snaps[m][:] = S_new
                 n = n_[()] = m
             clock = _lap(seconds, "steps", clock)
             if collectors is not None:
                 block = slice(r0, r0 + hi - lo)
-                collectors.add(first, S_h[block], K_h[block], N_h[block], NC_h[block])
+                collectors.add(first, S_h[block], Z_h[block, :2], Z_h[block, 2:], NC_h[block])
                 clock = _lap(seconds, "collectors", clock)
             lo = hi
 
-    S, K, N, NC = rows[n % ring]
-    xi = np.subtract(0.0, K[0])         # a zero comes out as +0, as in the scalar sum
-    items = {"paths": (W.astype(np.int64), S.astype(np.int64), xi, K[1].copy(),
-                       steps - (N[0] + NC[0]))}
+    S, Z, NC = rows[n % ring]
+    xi = np.subtract(0.0, Z[0])         # a zero comes out as +0, as in the scalar sum
+    items = {"paths": (W.astype(np.int64), S.astype(np.int64), xi, Z[1].copy(),
+                       steps - (Z[2] + NC[0]))}
     if collectors is not None:
         items["collectors"] = collectors.arrays()
     items.update((m, (s,)) for m, s in snaps.items())

@@ -102,6 +102,19 @@ class TestSimulate:
         for key in ("W", "S", "Xi", "Ztilde", "QV"):
             assert payload[key] == getattr(ens, key)[0]
 
+    def test_untraced_run_keeps_no_chain(self, capsys, monkeypatch):
+        # without --trace only the last state is kept; 9000 steps cross two
+        # of simulate_walk's uniform fills, which must read the engine's stream
+        def chain(trace):
+            raise AssertionError("untraced simulate built the chain")
+
+        monkeypatch.setattr(cli, "coupled_states_along", chain)
+        _, out, _ = run_cli(capsys, "simulate", "--q", "0.5", "--steps", "9000", "--seed", "6")
+        payload = json.loads(out)
+        ens = sample_paths(0.5, 9000, 1, 6)
+        for key in ("W", "S", "Xi", "Ztilde", "QV"):
+            assert payload[key] == getattr(ens, key)[0]
+
     def test_seed_changes_path(self, capsys):
         _, out1, _ = run_cli(capsys, "simulate", "--q", "0.3", "--steps", "500", "--seed", "1")
         _, out2, _ = run_cli(capsys, "simulate", "--q", "0.3", "--steps", "500", "--seed", "2")

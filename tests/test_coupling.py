@@ -112,6 +112,11 @@ class TestAdvance:
         assert len(states) == steps
         assert (peak - before) / steps < 200
 
+    @pytest.mark.parametrize("q", (-1.0, 0.0, 0.5, 1.0))
+    def test_final_state_is_the_chain_end(self, q):
+        trace = simulate_walk(MemoryParams.from_q(q), 5000, replication_stream(4, 0))
+        assert repr(coupling.final_coupled_state(trace)) == repr(coupled_states_along(trace)[-1])
+
     def test_packed_states_keep_every_bit(self):
         st = CoupledState(3, -1, 1, -0.0, 5e-324, -0.0, 1.0, -2.5, -0.0)
         chain = coupling._StateChain(array("d", st * 2))

@@ -205,6 +205,18 @@ class TestEngine:
          "b661e7d74170cc10149391a10f76f8ecdb948f0b0fe59bc4e2167a65d1cebf2e"),
         (0.8, 3000, 2000, (), (1, 1500, 2999, 3000),
          "9a6887ca21f551a34697f9c80c6cd853edf369ec5e65f487d7838772812c6c7f"),
+        # pinned before the Kahan and Neumaier sums were stacked into one
+        # array: one row with an odd number of steps, bare and with
+        # collectors (its 1024-step chunk is also the ring); q = -1, where
+        # q w is -0.0 whenever W = 0; and q = 1, where e + q w can be 0
+        (0.3, 2049, 1, (), (1, 2, 1023, 1024, 1025, 2048, 2049),
+         "8a53fd7bc0c98c5ed05dc7fb013d31455706d3d42f8d96d16ff8cb404adf25cd"),
+        (0.7, 3001, 1, ("qsl", "lil", "doob"), (1, 1024, 1025, 2048, 2049, 3001),
+         "428a2f3402df37f60b2189f81f4829c8cc4fdd53b4194bb581587cf8490f52d0"),
+        (-1.0, 4001, 7, (), (1, 2, 3, 2000, 4001),
+         "e3a18e87d98f1fdf8e8e4f97fbfe1ce8e8fd3fe971a42acc2fda7651aac0aab8"),
+        (1.0, 3001, 3, ("qsl", "lil", "doob"), (1, 2, 3001),
+         "df5aa8b78bdc97d69d15f931470299950820a42b31a5349b6a4b22ab9dba7471"),
     ])
     def test_golden_digests(self, fresh_store, q, steps, reps, collect, snaps, expect):
         assert digest(sample_paths(q, steps, reps, 3, collect=collect,
