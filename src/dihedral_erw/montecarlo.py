@@ -5,7 +5,7 @@ consumes exactly one uniform per step from its own counter-based stream
 (Philox keyed by master_seed and the replication index; see _philox), so
 row i is the same in every ensemble of at least i + 1 rows.  That is what
 lets sample_paths compute each ensemble once per process and answer
-narrower requests from stored rows.
+narrower requests from stored rows, and run a wide pass on several CPUs.
 
 The step loop only advances the walk and its compensated sums.  The path
 collectors (qsl, lil, doob) are computed from a short history of those
@@ -15,6 +15,7 @@ steps, block by block, all three in the one pass that any of them needs.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
@@ -68,7 +69,8 @@ class PathStats:
     # perf_counter seconds of the pass this call ran, by part: "fill"
     # (streams and uniforms), "steps" (the step loop, snapshots included) and
     # "collectors", read at fill-chunk and collector-block edges, never per
-    # step; empty when the store answered the call
+    # step; of a pass split over processes, each is the maximum over them;
+    # empty when the store answered the call
     seconds: Dict[str, float] = field(default_factory=dict)
 
     def qsl(self) -> np.ndarray:
@@ -86,6 +88,11 @@ _ENSEMBLES: Dict[tuple, Dict[object, tuple]] = {}
 _UNIFORMS = np.empty(0)
 _philox = None
 _TILE = 128                     # streams per staging block of the uniform fill
+# A pass of reps rows and steps steps runs in _parts(reps, steps, cpus)
+# processes.  Below either floor a child saves no time: it takes about 0.2 s
+# to start, and a part of fewer rows is bound by per-call dispatch (CHANGES.md)
+_MIN_PART_ROWS = 256
+_MIN_SPLIT_WORK = 1 << 25       # path-steps
 
 
 def sample_paths(
@@ -112,6 +119,10 @@ def sample_paths(
     requested, and every requested snapshot step) is answered with copies
     of stored rows.  So after one collector pass, a collector request on
     no more rows evolves nothing.
+
+    Rows are independent, so a wide pass runs on every usable CPU, bit for
+    bit the same (see _parts and _split); a failed child process makes the
+    call raise RuntimeError and store no row.
     """
     steps, reps = _check_int(steps, "steps"), _check_int(reps, "reps")
     master_seed = _check_int(master_seed, "master_seed", 0)
@@ -137,7 +148,14 @@ def sample_paths(
     out = PathStats(q=q, steps=steps, reps=reps, master_seed=master_seed)
     needed = ("paths", *snapshot_steps) + (("collectors",) if collect else ())
     if any(stored_rows(k) < reps for k in needed):
-        fresh, out.seconds = _evolve(q, steps, reps, master_seed, bool(collect), snapshot_steps)
+        chunk = int(max(64, min(1024, (1 << 22) // (reps + min(_TILE, reps)))))
+        args = (q, steps, master_seed, bool(collect), snapshot_steps, chunk)
+        parts = _parts(reps, steps, _usable_cpus())
+        if parts == 1:
+            fresh, out.seconds = _evolve(*args, 0, reps)
+        else:
+            from ._split import split_pass
+            fresh, out.seconds = split_pass(_evolve, parts, reps, args)
         entry.update((k, arrays) for k, arrays in fresh.items() if stored_rows(k) < reps)
 
     def rows(k):
@@ -154,12 +172,28 @@ def sample_paths(
     return out
 
 
+def _parts(reps: int, steps: int, cpus: int) -> int:
+    """How many processes evolve a pass of reps rows and steps steps on cpus usable CPUs."""
+    if reps * steps < _MIN_SPLIT_WORK:
+        return 1
+    return max(1, min(cpus, reps // _MIN_PART_ROWS))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _uniform_buffer(chunk: int, reps: int, tile: int) -> tuple:
     """A (chunk, reps) view and a tile * chunk staging block, of one buffer kept across calls.
 
-    At 10k reps the buffer is just under glibc's largest mmap threshold;
-    freeing it after every ensemble would move later ones onto the heap,
-    where stored ensembles pin them, and raise peak memory.
+    At 10k reps in one process the buffer is 32.0 MiB, just under glibc's
+    largest mmap threshold; freeing it after every ensemble would move later
+    ones onto the heap, where stored ensembles pin them, and raise peak
+    memory (the mc_wide benchmark's three passes: 111.7 against 80.1 MiB).
+    Split in two parts, each process's buffer is 16.2 MiB, and freeing it
+    made no difference (59.8 against 60.5 MiB in the caller).
     """
     global _UNIFORMS
     size = chunk * (reps + tile)
@@ -168,10 +202,16 @@ def _uniform_buffer(chunk: int, reps: int, tile: int) -> tuple:
     return _UNIFORMS[:chunk * reps].reshape(chunk, reps), _UNIFORMS[chunk * reps:size]
 
 
-def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
-    """One lockstep pass over replications 0..reps-1.
+def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) -> tuple:
+    """One lockstep pass over replications first..first+reps-1.
 
-    Returns the store items and the pass's seconds (see PathStats).  Each
+    Returns the store items and the pass's seconds (see PathStats).  Row i
+    of the items is replication first + i, driven by its stream alone, so
+    any cut of a pass into contiguous parts gives the same rows (this is
+    what _split relies on).  chunk is the number of steps per uniform
+    fill; sample_paths sets it from the width of the whole pass, so the
+    buffers of a split pass's parts together are no larger than one
+    process's buffer.  Each
     step performs the same IEEE operations, in the same order, as the
     scalar chain in coupling._steps, so every row is bit-identical to it;
     the letter is drawn with a buffered form of group.step_prob_a, so the
@@ -213,7 +253,6 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
     """
     snaps = {m: np.empty(reps, dtype=np.int64) for m in snapshot_steps}
     tile = min(_TILE, reps)
-    chunk = int(max(64, min(1024, (1 << 22) // (reps + tile))))
     ring = int(max(2, min(chunk, (1 << 16) // reps))) if collect else 2
 
     half, one, c_q, c_hq, c_qq = (np.array(v) for v in (0.5, 1.0, q, 0.5 * q, q * q))
@@ -235,7 +274,7 @@ def _evolve(q, steps, reps, master_seed, collect, snapshot_steps) -> tuple:
     seconds = {"fill": 0.0, "steps": 0.0, "collectors": 0.0}
     u_buf, staging = _uniform_buffer(chunk, reps, tile)
     clock = time.perf_counter()
-    streams = [replication_stream(master_seed, i) for i in range(reps)]
+    streams = [replication_stream(master_seed, first + i) for i in range(reps)]
     n = 0                                           # time before the step
     for m0 in range(0, steps, chunk):
         c_eff = min(chunk, steps - m0)

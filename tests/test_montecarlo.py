@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import dihedral_erw
-from dihedral_erw import _philox, montecarlo
+from dihedral_erw import _philox, _split, montecarlo
 from dihedral_erw.coupling import CoupledState, advance, coupled_states_along, encode_increment
 from dihedral_erw.group import MemoryParams, simulate_walk, step_prob_a
 from dihedral_erw.moments import r_norm
@@ -64,10 +66,11 @@ class TestStreams:
 
     def test_import_leaves_numpy_random_unloaded(self):
         # a process that builds no stream, such as an exact computation,
-        # loads neither numpy.random nor the stream module
+        # loads neither numpy.random nor the stream module, nor the split one
         probe = ("import sys\nimport dihedral_erw, dihedral_erw.cli, dihedral_erw.montecarlo\n"
                  "print(sorted(m for m in sys.modules\n"
-                 "             if m.startswith(('numpy.random', 'dihedral_erw._philox'))))")
+                 "             if m.startswith(('numpy.random', 'dihedral_erw._philox',\n"
+                 "                              'dihedral_erw._split', 'subprocess'))))")
         src = str(Path(dihedral_erw.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
@@ -405,6 +408,92 @@ class TestEnsembleStore:
         sample_paths(0.5, 400, 4, 5, snapshot_steps=(200,))
         sample_paths(0.5, 400, 16, 5, collect=("lil",))
         assert len(opened) == 20
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """Every process that sample_paths starts, in order."""
+    started = []
+    real = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+class TestSplitPass:
+    # _MIN_SPLIT_WORK path-steps in two parts (at least _MIN_PART_ROWS rows each)
+    REPS = 2048
+    STEPS = montecarlo._MIN_SPLIT_WORK // REPS
+
+    def test_split_pass_is_bit_identical(self, monkeypatch, fresh_store, children):
+        q, snaps = 0.6, (1, 1024, 1025, self.STEPS // 2, self.STEPS)
+        kw = dict(collect=("qsl", "lil", "doob"), snapshot_steps=snaps)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        split = sample_paths(q, self.STEPS, self.REPS, SEED, **kw)
+        assert len(children) == 1 and children[0].returncode == 0
+        fresh_store()
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        whole = sample_paths(q, self.STEPS, self.REPS, SEED, **kw)
+        assert len(children) == 1
+        assert digest(split) == digest(whole)
+        assert set(split.seconds) == {"fill", "steps", "collectors"}
+        h = self.REPS // 2                             # the first row of the child's part
+        for i in (h - 1, h, h + 1):
+            trace = simulate_walk(MemoryParams.from_q(q), self.STEPS, replication_stream(SEED, i))
+            states = coupled_states_along(trace)
+            last = states[-1]
+            assert (repr((last.W, last.S, last.Xi, last.Ztilde, last.QV))
+                    == repr((int(split.W[i]), int(split.S[i]), float(split.Xi[i]),
+                             float(split.Ztilde[i]), float(split.QV[i])))), i
+            assert [states[m - 1].S for m in snaps] == [split.snapshots[m][i] for m in snaps]
+
+    def test_part_rule(self, children):
+        parts, rows = montecarlo._parts, montecarlo._MIN_PART_ROWS
+        work = montecarlo._MIN_SPLIT_WORK
+        assert parts(100, 10**5, 2) == 1               # narrow
+        assert parts(2000, 50, 2) == 1                 # wide, but too little work
+        assert parts(10_000, 10_000, 1) == 1           # one usable CPU
+        assert parts(10_000, 10_000, 2) == 2           # the mc_wide benchmark pass
+        assert parts(self.REPS, self.STEPS, 2) == 2
+        assert parts(self.REPS, self.STEPS - 1, 2) == 1
+        assert parts(2 * rows, work // (2 * rows), 2) == 2
+        assert parts(2 * rows - 1, work, 2) == 1
+        assert parts(10**6, 10**4, 4096) == 10**6 // rows
+        for reps, steps, cpus in itertools.product((1, rows - 1, rows, 3 * rows, 10**4, 10**6),
+                                                   (1, 10**4, 10**6), (1, 2, 3, 64, 4096)):
+            n = parts(reps, steps, cpus)
+            assert n == 1 or 1 < n <= min(cpus, reps // rows), (reps, steps, cpus)
+        assert children == []
+
+    @pytest.mark.parametrize("command, status", [
+        (("-c", "import sys; sys.stderr.write('part failed'); sys.exit(3)"), 3),
+        (("-c", "import sys; sys.stdin.buffer.read(); sys.stderr.write('part failed')"), 0),
+    ])
+    def test_failed_part_raises_and_stores_nothing(self, monkeypatch, fresh_store, children,
+                                                   command, status):
+        monkeypatch.setattr(_split, "COMMAND", command)
+        monkeypatch.setattr(montecarlo, "_MIN_SPLIT_WORK", 0)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        with pytest.raises(RuntimeError, match=f"status {status} .*part failed"):
+            sample_paths(0.3, 10, 3 * montecarlo._MIN_PART_ROWS, SEED, snapshot_steps=(5,))
+        assert len(children) == 2 and all(c.returncode is not None for c in children)
+        assert not any(montecarlo._ENSEMBLES.values())
+
+    def test_interrupted_pass_leaves_no_child(self, monkeypatch, fresh_store, children):
+        # the caller is interrupted while the child is still starting: it is killed and reaped
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(montecarlo, "_evolve", interrupted)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        with pytest.raises(KeyboardInterrupt):
+            sample_paths(0.3, 10**5, self.REPS, SEED)
+        assert len(children) == 1 and children[0].returncode == -signal.SIGKILL
+        assert not any(montecarlo._ENSEMBLES.values())
 
 
 class TestKS:
