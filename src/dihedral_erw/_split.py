@@ -1,7 +1,8 @@
 """Split Monte Carlo passes: the caller and one child process per further part.
 
 montecarlo.sample_paths imports this module only for a pass that
-montecarlo._parts cuts into two or more parts, so a process that splits no
+montecarlo._parts would cut into two or more parts on unbounded CPUs, and
+then asks usable_cpus how many there are; so a process that runs no such
 pass neither loads nor compiles it, nor subprocess.
 
 A row of a pass depends only on its own stream, so the rows are cut into
@@ -15,14 +16,19 @@ function is passed in, so montecarlo and _split form no import cycle.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
-COMMAND = ("-c", "from dihedral_erw import _split, montecarlo; _split.serve(montecarlo._evolve)")
+# argv[1] is the src directory of the caller's package, put ahead of the
+# child's working directory, so a dihedral_erw there cannot shadow it
+COMMAND = ("-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                 "from dihedral_erw import _split, montecarlo; _split.serve(montecarlo._evolve)")
 
 
 def split_pass(evolve, parts: int, reps: int, args: tuple) -> tuple:
@@ -37,14 +43,11 @@ def split_pass(evolve, parts: int, reps: int, args: tuple) -> tuple:
     """
     edges = [reps * k // parts for k in range(parts + 1)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     children = []
     try:
         for first, end in zip(edges[1:], edges[2:]):
-            child = subprocess.Popen([sys.executable, *COMMAND],
-                                     env={**os.environ, "PYTHONPATH": path},
-                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                     stderr=subprocess.PIPE)
+            child = subprocess.Popen([sys.executable, *COMMAND, src], stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
             children.append(child)
             try:                                # the pickle ends itself: communicate closes stdin
                 pickle.dump((*args, first, end - first), child.stdin)
@@ -73,3 +76,34 @@ def split_pass(evolve, parts: int, reps: int, args: tuple) -> tuple:
 def serve(evolve) -> None:
     """A child: evolve's arguments pickled on stdin, its (items, seconds) pickled on stdout."""
     pickle.dump(evolve(*pickle.load(sys.stdin.buffer)), sys.stdout.buffer)
+
+
+def usable_cpus() -> int:
+    """The CPUs of the affinity mask, at most the cgroup v2 CPU quota rounded up."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, cgroup_cpus())
+
+
+def cgroup_cpus() -> float:
+    """The tightest cgroup v2 CPU quota on this process's cgroup and its ancestors, in CPUs."""
+    try:
+        lines = Path("/proc/self/cgroup").read_text().splitlines()
+        group = next(line[3:] for line in lines if line.startswith("0::"))
+    except (OSError, StopIteration):
+        return math.inf
+    cpus = math.inf
+    while True:
+        try:
+            cpus = min(cpus, quota_cpus(Path(f"/sys/fs/cgroup{group.rstrip('/')}/cpu.max")
+                                        .read_text()))
+        except OSError:                         # the root group, or no cpu controller
+            pass
+        if group in ("/", ""):
+            return cpus
+        group = os.path.dirname(group)
+
+
+def quota_cpus(cpu_max: str) -> float:
+    """A cgroup v2 cpu.max line, "quota period" or "max period", in whole CPUs."""
+    quota, period = cpu_max.split()
+    return math.inf if quota == "max" else max(1, math.ceil(int(quota) / int(period)))

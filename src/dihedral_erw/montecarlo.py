@@ -15,7 +15,6 @@ steps, block by block, all three in the one pass that any of them needs.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
@@ -89,10 +88,11 @@ _UNIFORMS = np.empty(0)
 _philox = None
 _TILE = 128                     # streams per staging block of the uniform fill
 # A pass of reps rows and steps steps runs in _parts(reps, steps, cpus)
-# processes.  Below either floor a child saves no time: it takes about 0.2 s
-# to start, and a part of fewer rows is bound by per-call dispatch (CHANGES.md)
+# processes.  A part below either floor saves no time: a child takes about
+# 0.2 s to start, and a part of fewer rows is bound by per-call dispatch
+# (measured with two parts; BENCH_26.json)
 _MIN_PART_ROWS = 256
-_MIN_SPLIT_WORK = 1 << 25       # path-steps
+_MIN_PART_WORK = 1 << 24        # path-steps
 
 
 def sample_paths(
@@ -150,11 +150,13 @@ def sample_paths(
     if any(stored_rows(k) < reps for k in needed):
         chunk = int(max(64, min(1024, (1 << 22) // (reps + min(_TILE, reps)))))
         args = (q, steps, master_seed, bool(collect), snapshot_steps, chunk)
-        parts = _parts(reps, steps, _usable_cpus())
+        parts = _parts(reps, steps, reps)       # at the floors alone, on unbounded CPUs
+        if parts > 1:
+            from ._split import split_pass, usable_cpus
+            parts = _parts(reps, steps, usable_cpus())
         if parts == 1:
             fresh, out.seconds = _evolve(*args, 0, reps)
         else:
-            from ._split import split_pass
             fresh, out.seconds = split_pass(_evolve, parts, reps, args)
         entry.update((k, arrays) for k, arrays in fresh.items() if stored_rows(k) < reps)
 
@@ -174,15 +176,7 @@ def sample_paths(
 
 def _parts(reps: int, steps: int, cpus: int) -> int:
     """How many processes evolve a pass of reps rows and steps steps on cpus usable CPUs."""
-    if reps * steps < _MIN_SPLIT_WORK:
-        return 1
-    return max(1, min(cpus, reps // _MIN_PART_ROWS))
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return max(1, min(cpus, reps // _MIN_PART_ROWS, reps * steps // _MIN_PART_WORK))
 
 
 def _uniform_buffer(chunk: int, reps: int, tile: int) -> tuple:

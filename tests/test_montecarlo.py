@@ -425,18 +425,18 @@ def children(monkeypatch):
 
 
 class TestSplitPass:
-    # _MIN_SPLIT_WORK path-steps in two parts (at least _MIN_PART_ROWS rows each)
+    # two parts of _MIN_PART_WORK path-steps (and at least _MIN_PART_ROWS rows) each
     REPS = 2048
-    STEPS = montecarlo._MIN_SPLIT_WORK // REPS
+    STEPS = 2 * montecarlo._MIN_PART_WORK // REPS
 
     def test_split_pass_is_bit_identical(self, monkeypatch, fresh_store, children):
         q, snaps = 0.6, (1, 1024, 1025, self.STEPS // 2, self.STEPS)
         kw = dict(collect=("qsl", "lil", "doob"), snapshot_steps=snaps)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
         split = sample_paths(q, self.STEPS, self.REPS, SEED, **kw)
         assert len(children) == 1 and children[0].returncode == 0
         fresh_store()
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
         whole = sample_paths(q, self.STEPS, self.REPS, SEED, **kw)
         assert len(children) == 1
         assert digest(split) == digest(whole)
@@ -453,21 +453,49 @@ class TestSplitPass:
 
     def test_part_rule(self, children):
         parts, rows = montecarlo._parts, montecarlo._MIN_PART_ROWS
-        work = montecarlo._MIN_SPLIT_WORK
+        work = montecarlo._MIN_PART_WORK
         assert parts(100, 10**5, 2) == 1               # narrow
         assert parts(2000, 50, 2) == 1                 # wide, but too little work
         assert parts(10_000, 10_000, 1) == 1           # one usable CPU
         assert parts(10_000, 10_000, 2) == 2           # the mc_wide benchmark pass
         assert parts(self.REPS, self.STEPS, 2) == 2
         assert parts(self.REPS, self.STEPS - 1, 2) == 1
-        assert parts(2 * rows, work // (2 * rows), 2) == 2
-        assert parts(2 * rows - 1, work, 2) == 1
-        assert parts(10**6, 10**4, 4096) == 10**6 // rows
+        assert parts(2 * rows, 2 * work // (2 * rows), 2) == 2
+        assert parts(2 * rows - 1, 2 * work, 2) == 1
+        # many CPUs: each part still gets at least the work floor
+        assert parts(10_000, 10_000, 64) == 10**8 // work == 5
+        assert parts(10**6, 10**4, 4096) == 10**10 // work
         for reps, steps, cpus in itertools.product((1, rows - 1, rows, 3 * rows, 10**4, 10**6),
                                                    (1, 10**4, 10**6), (1, 2, 3, 64, 4096)):
             n = parts(reps, steps, cpus)
-            assert n == 1 or 1 < n <= min(cpus, reps // rows), (reps, steps, cpus)
+            assert n == 1 or 1 < n <= min(cpus, reps // rows, reps * steps // work), \
+                (reps, steps, cpus)
         assert children == []
+
+    def test_cpu_quota_bounds_the_cpus(self, monkeypatch):
+        quota = _split.quota_cpus
+        assert quota("max 100000\n") == math.inf
+        assert quota("50000 100000\n") == 1
+        assert quota("150000 100000\n") == 2
+        assert quota("400000 100000\n") == 4
+        assert 1 <= _split.usable_cpus() <= (os.cpu_count() or 1)
+        monkeypatch.setattr(_split, "cgroup_cpus", lambda: 1)
+        assert _split.usable_cpus() == 1
+
+    def test_child_ignores_a_package_in_its_working_directory(self, monkeypatch, tmp_path,
+                                                              fresh_store, children):
+        shadow = tmp_path / "dihedral_erw"
+        shadow.mkdir()
+        (shadow / "__init__.py").write_text("raise ImportError('the shadowing package')\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(montecarlo, "_MIN_PART_WORK", 1)
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+        reps = 2 * montecarlo._MIN_PART_ROWS
+        split = sample_paths(0.3, 50, reps, SEED, collect=("doob",))
+        assert len(children) == 1 and children[0].returncode == 0
+        fresh_store()
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
+        assert digest(sample_paths(0.3, 50, reps, SEED, collect=("doob",))) == digest(split)
 
     @pytest.mark.parametrize("command, status", [
         (("-c", "import sys; sys.stderr.write('part failed'); sys.exit(3)"), 3),
@@ -476,8 +504,8 @@ class TestSplitPass:
     def test_failed_part_raises_and_stores_nothing(self, monkeypatch, fresh_store, children,
                                                    command, status):
         monkeypatch.setattr(_split, "COMMAND", command)
-        monkeypatch.setattr(montecarlo, "_MIN_SPLIT_WORK", 0)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_MIN_PART_WORK", 1)
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 3)
         with pytest.raises(RuntimeError, match=f"status {status} .*part failed"):
             sample_paths(0.3, 10, 3 * montecarlo._MIN_PART_ROWS, SEED, snapshot_steps=(5,))
         assert len(children) == 2 and all(c.returncode is not None for c in children)
@@ -489,7 +517,7 @@ class TestSplitPass:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(montecarlo, "_evolve", interrupted)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
         with pytest.raises(KeyboardInterrupt):
             sample_paths(0.3, 10**5, self.REPS, SEED)
         assert len(children) == 1 and children[0].returncode == -signal.SIGKILL
