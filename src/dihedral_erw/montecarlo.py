@@ -5,7 +5,9 @@ consumes exactly one uniform per step from its own counter-based stream
 (Philox keyed by master_seed and the replication index; see _philox), so
 row i is the same in every ensemble of at least i + 1 rows.  That is what
 lets sample_paths compute each ensemble once per process and answer
-narrower requests from stored rows, and run a wide pass on several CPUs.
+narrower requests from stored rows, and run a wide pass on several CPUs,
+cut by rows.  A narrow, long pass runs on two, cut by stage: the walk in
+this process, and the compensated sums in another, from the walk's signs.
 
 The step loop only advances the walk and its compensated sums.  The path
 collectors (qsl, lil, doob) are computed from a short history of those
@@ -68,8 +70,10 @@ class PathStats:
     # perf_counter seconds of the pass this call ran, by part: "fill"
     # (streams and uniforms), "steps" (the step loop, snapshots included) and
     # "collectors", read at fill-chunk and collector-block edges, never per
-    # step; of a pass split over processes, each is the maximum over them;
-    # empty when the store answered the call
+    # step; of a pass split over processes, each is the maximum over them
+    # (in two stages: "steps" the longer of the walk and the sums, and
+    # "collectors" of qsl with lil and of doob, waits on the other process
+    # excluded); empty when the store answered the call
     seconds: Dict[str, float] = field(default_factory=dict)
 
     def qsl(self) -> np.ndarray:
@@ -87,12 +91,14 @@ _ENSEMBLES: Dict[tuple, Dict[object, tuple]] = {}
 _UNIFORMS = np.empty(0)
 _philox = None
 _TILE = 128                     # streams per staging block of the uniform fill
-# A pass of reps rows and steps steps runs in _parts(reps, steps, cpus)
-# processes.  A part below either floor saves no time: a child takes about
-# 0.2 s to start, and a part of fewer rows is bound by per-call dispatch
-# (measured with two parts; BENCH_26.json)
+# A pass of reps rows and steps steps runs as _plan(reps, steps, cpus) says.
+# A row part below either floor saves no time: a child takes about 0.2 s to
+# start, and a part of fewer rows is bound by per-call dispatch (measured
+# with two parts; BENCH_26.json).  A narrower pass runs as two stages from
+# _MIN_STAGE_STEPS steps on (BENCH_27.json)
 _MIN_PART_ROWS = 256
 _MIN_PART_WORK = 1 << 24        # path-steps
+_MIN_STAGE_STEPS = 50_000
 
 
 def sample_paths(
@@ -120,12 +126,15 @@ def sample_paths(
     of stored rows.  So after one collector pass, a collector request on
     no more rows evolves nothing.
 
-    Rows are independent, so a wide pass runs on every usable CPU, bit for
-    bit the same (see _parts and _split); a failed child process makes the
-    call raise RuntimeError and store no row.
+    A wide pass runs on every usable CPU, its rows cut into parts, and a
+    narrow one of at least _MIN_STAGE_STEPS steps on two, the walk and the
+    compensated sums as a pipeline (see _plan and _split); both give the
+    one-process pass bit for bit.  A failed child process makes the call
+    raise RuntimeError and store no row.
     """
     steps, reps = _check_int(steps, "steps"), _check_int(reps, "reps")
     master_seed = _check_int(master_seed, "master_seed", 0)
+    q = float(q)
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [-1, 1], got {q}")
     collect = set(collect)
@@ -150,14 +159,16 @@ def sample_paths(
     if any(stored_rows(k) < reps for k in needed):
         chunk = int(max(64, min(1024, (1 << 22) // (reps + min(_TILE, reps)))))
         args = (q, steps, master_seed, bool(collect), snapshot_steps, chunk)
-        parts = _parts(reps, steps, reps)       # at the floors alone, on unbounded CPUs
-        if parts > 1:
-            from ._split import split_pass, usable_cpus
-            parts = _parts(reps, steps, usable_cpus())
-        if parts == 1:
-            fresh, out.seconds = _evolve(*args, 0, reps)
-        else:
+        parts, stages = _plan(reps, steps, math.inf)    # at the floors alone
+        if parts * stages > 1:
+            from ._split import split_pass, stage_pass, usable_cpus
+            parts, stages = _plan(reps, steps, usable_cpus())
+        if stages > 1:
+            fresh, out.seconds = stage_pass(_uniforms, _Collectors, args, reps)
+        elif parts > 1:
             fresh, out.seconds = split_pass(_evolve, parts, reps, args)
+        else:
+            fresh, out.seconds = _evolve(*args, 0, reps)
         entry.update((k, arrays) for k, arrays in fresh.items() if stored_rows(k) < reps)
 
     def rows(k):
@@ -174,9 +185,17 @@ def sample_paths(
     return out
 
 
-def _parts(reps: int, steps: int, cpus: int) -> int:
-    """How many processes evolve a pass of reps rows and steps steps on cpus usable CPUs."""
-    return max(1, min(cpus, reps // _MIN_PART_ROWS, reps * steps // _MIN_PART_WORK))
+def _plan(reps: int, steps: int, cpus) -> tuple:
+    """(parts, stages) for a pass of reps rows and steps steps on cpus usable CPUs.
+
+    Its rows are cut into parts contiguous parts, one process each
+    (_split.split_pass).  On two CPUs or more, a pass narrower than one
+    part and at least _MIN_STAGE_STEPS long runs as two stages, the walk
+    and the sums, in two processes (_split.stage_pass).  Any other pass of
+    one part runs in this process.
+    """
+    parts = max(1, min(cpus, reps // _MIN_PART_ROWS, reps * steps // _MIN_PART_WORK))
+    return parts, 2 if reps < _MIN_PART_ROWS and steps >= _MIN_STAGE_STEPS and cpus >= 2 else 1
 
 
 def _uniform_buffer(chunk: int, reps: int, tile: int) -> tuple:
@@ -240,13 +259,8 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
     and NC are updated in place.  With collect true the ring holds a block
     of steps, and _Collectors reads each block once its last row is
     written.
-
-    Each tile of _TILE streams draws a chunk into the rows of a cache-sized
-    staging block, which one transposed copy moves into the tile's columns
-    of the uniforms: written down a column, each draw takes a cache line.
     """
     snaps = {m: np.empty(reps, dtype=np.int64) for m in snapshot_steps}
-    tile = min(_TILE, reps)
     ring = int(max(2, min(chunk, (1 << 16) // reps))) if collect else 2
 
     half, one, c_q, c_hq, c_qq = (np.array(v) for v in (0.5, 1.0, q, 0.5 * q, q * q))
@@ -266,19 +280,9 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
     collectors = _Collectors(q, reps, ring) if collect else None
 
     seconds = {"fill": 0.0, "steps": 0.0, "collectors": 0.0}
-    u_buf, staging = _uniform_buffer(chunk, reps, tile)
-    clock = time.perf_counter()
-    streams = [replication_stream(master_seed, first + i) for i in range(reps)]
     n = 0                                           # time before the step
-    for m0 in range(0, steps, chunk):
-        c_eff = min(chunk, steps - m0)
-        block = staging[:tile * c_eff].reshape(tile, c_eff)
-        for j in range(0, reps, tile):
-            draws = block[:min(tile, reps - j)]
-            for st, row in zip(streams[j:j + tile], draws):
-                st.random(out=row)
-            u_buf[:c_eff, j:j + tile] = draws.T
-        clock = _lap(seconds, "fill", clock)
+    for u_buf in _uniforms(master_seed, first, reps, steps, chunk, seconds):
+        clock, m0, c_eff = time.perf_counter(), n, len(u_buf)
         lo = 0
         while lo < c_eff:                           # a block: steps first.. on rows r0..
             first = m0 + lo + 1
@@ -327,6 +331,33 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
     return items, seconds
 
 
+def _uniforms(master_seed, first, reps, steps, chunk, seconds):
+    """The uniforms of replications first..first+reps-1, chunk steps at a time.
+
+    Yields (steps in the chunk, reps) views of one buffer (_uniform_buffer),
+    row n holding each stream's draw for the chunk's step n, and adds the
+    time it takes, stream construction included, to seconds["fill"].  Each
+    tile of _TILE streams draws a chunk into the rows of a cache-sized
+    staging block, which one transposed copy moves into the tile's columns
+    of the uniforms: written down a column, each draw takes a cache line.
+    """
+    tile = min(_TILE, reps)
+    u_buf, staging = _uniform_buffer(chunk, reps, tile)
+    clock = time.perf_counter()
+    streams = [replication_stream(master_seed, first + i) for i in range(reps)]
+    for m0 in range(0, steps, chunk):
+        c_eff = min(chunk, steps - m0)
+        block = staging[:tile * c_eff].reshape(tile, c_eff)
+        for j in range(0, reps, tile):
+            draws = block[:min(tile, reps - j)]
+            for st, row in zip(streams[j:j + tile], draws):
+                st.random(out=row)
+            u_buf[:c_eff, j:j + tile] = draws.T
+        _lap(seconds, "fill", clock)
+        yield u_buf[:c_eff]
+        clock = time.perf_counter()
+
+
 def _lap(seconds: dict, key: str, since: float) -> float:
     now = time.perf_counter()
     seconds[key] += now - since
@@ -354,8 +385,13 @@ class _Collectors:
 
     def add(self, first: int, S, K, N, NC) -> None:
         """Rows are steps first, first + 1, ...: S, K = (-Xi, Ztilde), N and NC."""
+        self.add_s(first, S)
+        self.add_doob(S, K, N, NC)
+
+    def add_s(self, first: int, S) -> None:
+        """qsl and lil, which read S alone."""
         b = len(S)
-        T, U = self.T[:b], self.U[:b]
+        T = self.T[:b]
         # qsl: sum of (S_m / m)^2, continued from the running sum
         np.divide(S, np.arange(first, first + b, dtype=float)[:, None], out=T)
         np.multiply(T, T, out=T)
@@ -365,12 +401,16 @@ class _Collectors:
         # lil: running max of +-S_m / sqrt(2 m lnln m) from step LIL_START on
         j = max(0, LIL_START - first)
         if j < b:
-            scale = [1.0 / math.sqrt(2.0 * m * math.log(math.log(m)))
-                     for m in range(first + j, first + b)]
-            np.multiply(S[j:], np.array(scale)[:, None], out=T[j:])
+            m = np.arange(first + j, first + b, dtype=float)
+            lnln = np.fromiter(map(math.log, map(math.log, range(first + j, first + b))), float)
+            scale = 1.0 / np.sqrt(2.0 * m * lnln)   # correctly rounded, as math.sqrt
+            np.multiply(S[j:], scale[:, None], out=T[j:])
             np.maximum(self.lil_pos, T[j:].max(axis=0), out=self.lil_pos)
             np.minimum(self.lil_neg_neg, T[j:].min(axis=0), out=self.lil_neg_neg)
-        # doob: |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|
+
+    def add_doob(self, S, K, N, NC) -> None:
+        """doob: |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|."""
+        T, U = self.T[:len(S)], self.U[:len(S)]
         np.add(S, K[:, 0], out=T)
         np.multiply(self.c_q, K[:, 1], out=U)
         np.subtract(T, U, out=T)

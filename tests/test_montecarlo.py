@@ -13,7 +13,8 @@ import pytest
 
 import dihedral_erw
 from dihedral_erw import _philox, _split, montecarlo
-from dihedral_erw.coupling import CoupledState, advance, coupled_states_along, encode_increment
+from dihedral_erw.coupling import (CoupledState, advance, coupled_states_along,
+                                   encode_increment, final_coupled_state)
 from dihedral_erw.group import MemoryParams, simulate_walk, step_prob_a
 from dihedral_erw.moments import r_norm
 from dihedral_erw.montecarlo import (
@@ -220,8 +221,15 @@ class TestEngine:
          "e3a18e87d98f1fdf8e8e4f97fbfe1ce8e8fd3fe971a42acc2fda7651aac0aab8"),
         (1.0, 3001, 3, ("qsl", "lil", "doob"), (1, 2, 3001),
          "df5aa8b78bdc97d69d15f931470299950820a42b31a5349b6a4b22ab9dba7471"),
+        # pinned before narrow passes ran as two stages: 3 rows of 50,001
+        # steps run in two processes, with blocks of 5461 steps
+        (0.6, 50_001, 3, ("qsl", "lil", "doob"),
+         (1, 2, 1024, 1025, 5461, 5462, 10_922, 10_923, 49_999, 50_001),
+         "2b13cf569fb8ceee8a27917090b06a8312ccfc02559a6091489bca1164a04839"),
     ])
-    def test_golden_digests(self, fresh_store, q, steps, reps, collect, snaps, expect):
+    def test_golden_digests(self, monkeypatch, fresh_store, q, steps, reps, collect, snaps,
+                            expect):
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)   # two stages on any host
         assert digest(sample_paths(q, steps, reps, 3, collect=collect,
                                    snapshot_steps=snaps)) == expect
 
@@ -343,6 +351,23 @@ class TestEngine:
         with pytest.raises(ValueError):
             sample_paths(0.5, 100, 3, -1)
 
+    def test_numpy_float_q_is_the_float_q(self, fresh_store):
+        # q is taken as float(q), as MemoryParams.from_q takes it: a float32 q
+        # steps, and is stored, as the double it stands for
+        q, steps, reps = np.float32(0.3), 3000, 50
+        ens = sample_paths(q, steps, reps, SEED)
+        assert type(ens.q) is float and ens.q == float(q)
+        assert [type(key[0]) for key in montecarlo._ENSEMBLES] == [float]
+        for i in range(reps):
+            trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(SEED, i))
+            last = final_coupled_state(trace)
+            assert ((last.W, last.S, last.Xi, last.Ztilde, last.QV)
+                    == (ens.W[i], ens.S[i], ens.Xi[i], ens.Ztilde[i], ens.QV[i])), i
+        for bad in ("q", 1.5, np.float32(-1.5), float("nan")):
+            with pytest.raises(ValueError):
+                sample_paths(bad, 10, 2, 1)
+        assert digest(sample_paths(np.float64(1.0), 10, 2, 1)) == digest(sample_paths(1, 10, 2, 1))
+
 
 class TestEnsembleStore:
     ALL = ("qsl", "lil", "doob")
@@ -451,25 +476,35 @@ class TestSplitPass:
                              float(split.Ztilde[i]), float(split.QV[i])))), i
             assert [states[m - 1].S for m in snaps] == [split.snapshots[m][i] for m in snaps]
 
-    def test_part_rule(self, children):
-        parts, rows = montecarlo._parts, montecarlo._MIN_PART_ROWS
-        work = montecarlo._MIN_PART_WORK
-        assert parts(100, 10**5, 2) == 1               # narrow
-        assert parts(2000, 50, 2) == 1                 # wide, but too little work
-        assert parts(10_000, 10_000, 1) == 1           # one usable CPU
-        assert parts(10_000, 10_000, 2) == 2           # the mc_wide benchmark pass
-        assert parts(self.REPS, self.STEPS, 2) == 2
-        assert parts(self.REPS, self.STEPS - 1, 2) == 1
-        assert parts(2 * rows, 2 * work // (2 * rows), 2) == 2
-        assert parts(2 * rows - 1, 2 * work, 2) == 1
+    def test_part_rule(self, monkeypatch, children):
+        plan, rows = montecarlo._plan, montecarlo._MIN_PART_ROWS
+        work, floor = montecarlo._MIN_PART_WORK, montecarlo._MIN_STAGE_STEPS
+        assert plan(100, 10**5, 2) == (1, 2)           # the mc_long pass: two stages
+        assert plan(100, 10**5, 1) == (1, 1)           # one usable CPU
+        monkeypatch.setattr(_split, "cgroup_cpus", lambda: 1)
+        assert plan(100, 10**5, _split.usable_cpus()) == (1, 1)    # a CPU quota of 1
+        assert plan(100, floor - 1, 2) == (1, 1)       # just under the steps floor
+        assert plan(100, floor, 2) == (1, 2)
+        assert plan(rows - 1, 10**6, 2) == (1, 2)
+        assert plan(rows, 10**6, 2) == (1, 1)          # as wide as a part
+        assert plan(2000, 50, 2) == (1, 1)             # wide, but too little work
+        assert plan(10_000, 10_000, 1) == (1, 1)       # one usable CPU
+        assert plan(10_000, 10_000, 2) == (2, 1)       # the mc_wide benchmark pass
+        assert plan(1000, 10**5, 2) == (2, 1)          # criterion 5
+        assert plan(self.REPS, self.STEPS, 2) == (2, 1)
+        assert plan(self.REPS, self.STEPS - 1, 2) == (1, 1)
+        assert plan(2 * rows, 2 * work // (2 * rows), 2) == (2, 1)
+        assert plan(2 * rows - 1, 2 * work, 2) == (1, 1)
         # many CPUs: each part still gets at least the work floor
-        assert parts(10_000, 10_000, 64) == 10**8 // work == 5
-        assert parts(10**6, 10**4, 4096) == 10**10 // work
+        assert plan(10_000, 10_000, 64) == (10**8 // work, 1) == (5, 1)
+        assert plan(10**6, 10**4, 4096) == (10**10 // work, 1)
         for reps, steps, cpus in itertools.product((1, rows - 1, rows, 3 * rows, 10**4, 10**6),
-                                                   (1, 10**4, 10**6), (1, 2, 3, 64, 4096)):
-            n = parts(reps, steps, cpus)
+                                                   (1, 10**4, floor, 10**6), (1, 2, 3, 64, 4096)):
+            n, stages = plan(reps, steps, cpus)
             assert n == 1 or 1 < n <= min(cpus, reps // rows, reps * steps // work), \
                 (reps, steps, cpus)
+            assert stages == (2 if n == 1 and cpus > 1 and reps < rows and steps >= floor
+                              else 1), (reps, steps, cpus)
         assert children == []
 
     def test_cpu_quota_bounds_the_cpus(self, monkeypatch):
@@ -496,6 +531,15 @@ class TestSplitPass:
         fresh_store()
         monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
         assert digest(sample_paths(0.3, 50, reps, SEED, collect=("doob",))) == digest(split)
+        # and the child of a pass in two stages
+        fresh_store()
+        monkeypatch.setattr(montecarlo, "_MIN_STAGE_STEPS", 1)
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+        staged = sample_paths(0.3, 500, 7, SEED, collect=("doob",))
+        assert len(children) == 2 and children[1].returncode == 0
+        fresh_store()
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
+        assert digest(sample_paths(0.3, 500, 7, SEED, collect=("doob",))) == digest(staged)
 
     @pytest.mark.parametrize("command, status", [
         (("-c", "import sys; sys.stderr.write('part failed'); sys.exit(3)"), 3),
@@ -520,6 +564,103 @@ class TestSplitPass:
         monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
         with pytest.raises(KeyboardInterrupt):
             sample_paths(0.3, 10**5, self.REPS, SEED)
+        assert len(children) == 1 and children[0].returncode == -signal.SIGKILL
+        assert not any(montecarlo._ENSEMBLES.values())
+
+
+class TestStagePass:
+    # a pass narrower than a row part and at least _MIN_STAGE_STEPS long runs
+    # as two processes: the caller's walk, and a child's compensated sums
+    @pytest.mark.parametrize("q", (-1.0, 0.6, 1.0))
+    def test_stage_pass_is_bit_identical(self, monkeypatch, fresh_store, children, q):
+        # 37 rows make blocks of BLOCK_CELLS // 37 = 442 steps and uniform
+        # chunks of 1024; 2000 steps end in a partial block, and the
+        # snapshots sit on and next to the edges of both
+        reps, steps = 37, 2000
+        block = _split.BLOCK_CELLS // reps
+        snaps = (1, 2, block - 1, block, block + 1, 2 * block, 1023, 1024, 1025, steps - 1, steps)
+        assert steps % block and reps < montecarlo._MIN_PART_ROWS
+        monkeypatch.setattr(montecarlo, "_MIN_STAGE_STEPS", steps)
+        for kw in (dict(collect=("qsl", "lil", "doob"), snapshot_steps=snaps),
+                   dict(snapshot_steps=snaps)):
+            fresh_store()
+            monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+            staged = sample_paths(q, steps, reps, SEED, **kw)
+            assert children[-1].returncode == 0
+            assert set(staged.seconds) == {"fill", "steps", "collectors"}
+            fresh_store()
+            monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
+            assert digest(sample_paths(q, steps, reps, SEED, **kw)) == digest(staged)
+        assert len(children) == 2
+        for i in (0, reps - 1):
+            trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(SEED, i))
+            states = coupled_states_along(trace)
+            last = states[-1]
+            assert (repr((last.W, last.S, last.Xi, last.Ztilde, last.QV))
+                    == repr((int(staged.W[i]), int(staged.S[i]), float(staged.Xi[i]),
+                             float(staged.Ztilde[i]), float(staged.QV[i])))), i
+            assert [states[m - 1].S for m in snaps] == [staged.snapshots[m][i] for m in snaps]
+
+    def test_narrow_pass_below_the_floor_loads_no_split(self):
+        probe = ("import sys\nfrom dihedral_erw import montecarlo\n"
+                 "montecarlo.sample_paths(0.3, montecarlo._MIN_STAGE_STEPS - 1, 2, 0)\n"
+                 "print(sorted(m for m in sys.modules\n"
+                 "             if m.startswith(('dihedral_erw._split', 'subprocess'))))")
+        src = str(Path(dihedral_erw.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("command, status", [
+        (("-c", "import sys; sys.stderr.write('part failed'); sys.exit(3)"), 3),
+        (("-c", "import sys; sys.stdin.buffer.read(5000); sys.stderr.write('part failed');"
+                " sys.exit(4)"), 4),
+        (("-c", "import sys; sys.stdin.buffer.read(); sys.stderr.write('part failed')"), 0),
+        # a child blocked on a full stderr pipe would block the caller too
+        (("-c", "import sys; sys.stderr.write('x' * 10**6 + 'part failed');"
+                " sys.stdin.buffer.read()"), 0),
+    ], ids=["exits-before-reading", "dies-mid-stream", "no-result", "floods-stderr"])
+    def test_failed_stage_raises_and_stores_nothing(self, monkeypatch, fresh_store, children,
+                                                    command, status):
+        monkeypatch.setattr(_split, "COMMAND", command)
+        monkeypatch.setattr(montecarlo, "_MIN_STAGE_STEPS", 1)
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+        sent, send = [], _split._Child.send
+        monkeypatch.setattr(_split._Child, "send",
+                            lambda child, data: sent.append(send(child, data)) or sent[-1])
+        with pytest.raises(RuntimeError, match=f"status {status} .*part failed"):
+            sample_paths(0.3, 20_000, 100, SEED, collect=("doob",), snapshot_steps=(5,))
+        assert len(children) == 1 and children[0].returncode == status
+        assert not any(montecarlo._ENSEMBLES.values())
+        if status:                                  # the caller's write met a closed pipe
+            assert sent[-1] is False
+
+    def test_interrupt_while_writing_leaves_no_child(self, monkeypatch, fresh_store, children):
+        # the child reads nothing, so the caller blocks writing once the pipe
+        # is full; an interrupt there leaves the child killed and reaped
+        monkeypatch.setattr(_split, "COMMAND", ("-c", "import time; time.sleep(60)"))
+        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+        writing, send = [], _split._Child.send
+
+        def tracked(child, data):
+            writing.append(True)
+            ok = send(child, data)
+            writing[-1] = False
+            return ok
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_split._Child, "send", tracked)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(KeyboardInterrupt):
+                sample_paths(0.3, 10**6, 100, SEED)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert writing[-1]
         assert len(children) == 1 and children[0].returncode == -signal.SIGKILL
         assert not any(montecarlo._ENSEMBLES.values())
 
