@@ -12,7 +12,6 @@ from .group import (
     WalkTrace,
     complement,
     reduce_left_multiply,
-    sample_next_letter,
     signed_location,
     simulate_walk,
     step_prob_a,
@@ -47,8 +46,6 @@ from .quadrature import (
     figure_grid,
     gauss_2f1,
     integrate,
-    j1,
-    j2,
     phi_integrand,
     var_z_infinity,
     var_ztilde_infinity,

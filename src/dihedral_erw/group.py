@@ -204,19 +204,6 @@ def _letter(u: float, q: float, W: int, n: int) -> str:
     return "a" if u < step_prob_a(q, W, n) else "b"
 
 
-def sample_next_letter(A: int, B: int, n: int, params: MemoryParams, rng) -> str:
-    """Draw the next step letter given the running counts A (a's) and B (b's).
-
-    The next letter is a with probability step_prob_a(q, A - B, n), from
-    n = 0 (the uniform first step) on.  This counts form has the same
-    conditional law as remembering a uniform past index and repeating it
-    with probability p, but needs only O(1) state.
-    """
-    if A < 0 or B < 0 or A + B != n:
-        raise ValueError(f"counts A={A}, B={B} inconsistent with n={n}")
-    return _letter(rng.random(), params.q, A - B, n)
-
-
 @dataclass
 class WalkTrace:
     """One realised path: step letters g_1..g_n and positions w_0..w_n."""
@@ -235,24 +222,13 @@ class WalkTrace:
     def signed_locations(self) -> np.ndarray:
         return np.array([signed_location(w) for w in self.positions], dtype=np.int64)
 
-    def check_invariants(self) -> None:
-        if len(self.positions) != self.n + 1:
-            raise AssertionError("positions must hold one entry per step plus w_0")
-        if self.positions[0] != GroupWord.identity():
-            raise AssertionError("w_0 must be the identity")
-        for k, g in enumerate(self.letters, start=1):
-            w_prev, w_cur = self.positions[k - 1], self.positions[k]
-            if reduce_left_multiply(g, w_prev) != w_cur:
-                raise AssertionError(f"w_{k} is not reduce(g_{k} * w_{k-1})")
-            if abs(w_cur.length - w_prev.length) != 1:
-                raise AssertionError(f"length jump at step {k} is not +-1")
-
 
 def simulate_walk(params: MemoryParams, steps: int, rng) -> WalkTrace:
     """Simulate one elephant path of the given length.
 
-    Every letter, the uniform first one included, is chosen by the
-    sampler of sample_next_letter from the counts so far.  One uniform
+    Every letter, the uniform first one included, is chosen by _letter
+    from W = #a - #b so far: the conditional law of repeating a uniformly
+    remembered past step with probability p, in O(1) state.  One uniform
     per step is consumed, in rng.random fills of _DRAWS at a time, which
     give the same doubles as successive scalar draws; that pins the path
     to the injected stream.

@@ -284,9 +284,9 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
     for u_buf in _uniforms(master_seed, first, reps, steps, chunk, seconds):
         clock, m0, c_eff = time.perf_counter(), n, len(u_buf)
         lo = 0
-        while lo < c_eff:                           # a block: steps first.. on rows r0..
-            first = m0 + lo + 1
-            r0 = first % ring
+        while lo < c_eff:                           # a block: steps m_first.. on rows r0..
+            m_first = m0 + lo + 1
+            r0 = m_first % ring
             hi = c_eff if collectors is None else min(c_eff, lo + ring - r0)
             for u in u_buf[lo:hi]:
                 m = n + 1
@@ -317,7 +317,8 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
             clock = _lap(seconds, "steps", clock)
             if collectors is not None:
                 block = slice(r0, r0 + hi - lo)
-                collectors.add(first, S_h[block], Z_h[block, :2], Z_h[block, 2:], NC_h[block])
+                collectors.add_s(m_first, S_h[block])
+                collectors.add_doob(S_h[block], Z_h[block, :2], Z_h[block, 2:], NC_h[block])
                 clock = _lap(seconds, "collectors", clock)
             lo = hi
 
@@ -373,6 +374,8 @@ class _Collectors:
     order, and max/min are exact in any order.  No value is NaN or -0.0
     (S starts at +0.0 and x - x is +0.0; the doob residuals are absolute
     values), so the order of the max/min reductions cannot show either.
+    Every pass hands each block to add_s and add_doob, in one process or
+    (_split.stage_pass) in two.
     """
 
     def __init__(self, q: float, reps: int, ring: int):
@@ -383,13 +386,8 @@ class _Collectors:
         self.dmax = np.zeros((2, reps))
         self.T, self.U = np.empty((ring, reps)), np.empty((ring, reps))
 
-    def add(self, first: int, S, K, N, NC) -> None:
-        """Rows are steps first, first + 1, ...: S, K = (-Xi, Ztilde), N and NC."""
-        self.add_s(first, S)
-        self.add_doob(S, K, N, NC)
-
     def add_s(self, first: int, S) -> None:
-        """qsl and lil, which read S alone."""
+        """qsl and lil, which read S alone; rows are steps first, first + 1, ..."""
         b = len(S)
         T = self.T[:b]
         # qsl: sum of (S_m / m)^2, continued from the running sum
@@ -409,7 +407,8 @@ class _Collectors:
             np.minimum(self.lil_neg_neg, T[j:].min(axis=0), out=self.lil_neg_neg)
 
     def add_doob(self, S, K, N, NC) -> None:
-        """doob: |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|."""
+        """doob: |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|, from rows (as in
+        add_s) of S, K = (-Xi, Ztilde), N (the Neumaier sums) and NC (their corrections)."""
         T, U = self.T[:len(S)], self.U[:len(S)]
         np.add(S, K[:, 0], out=T)
         np.multiply(self.c_q, K[:, 1], out=U)

@@ -3,7 +3,8 @@
 Each is a second route to a quantity the package computes another way: the
 closed form of H, the Pochhammer-ratio covariance of W, the O(n^2) double
 sum for E[Ztilde^2], the recursions for E[S_k^2] that the forward pass of
-enumerate_exact sums directly, and the QSL statistic of one S path.  The test modules
+enumerate_exact sums directly, the QSL statistic of one S path, and the
+invariants of a simulated word path.  The test modules
 import them by bare name (``from oracles import ...``), which works because
 pytest puts this directory on ``sys.path``.
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from dihedral_erw.group import _check_q
+from dihedral_erw.group import GroupWord, _check_q, reduce_left_multiply
 from dihedral_erw.moments import _recurrence, h_moment, h_moment_table
 from dihedral_erw.quadrature import i_factor_table
 
@@ -112,3 +113,17 @@ def qsl_statistic(s_path) -> float:
         raise ValueError("need a path of length at least 2")
     k = np.arange(1, n + 1, dtype=float)
     return float(np.sum((s / k) ** 2) / math.log(n))
+
+
+def check_invariants(trace) -> None:
+    """Raise AssertionError unless trace.positions is w_0 = e, then w_k = reduce(g_k * w_(k-1))."""
+    if len(trace.positions) != trace.n + 1:
+        raise AssertionError("positions must hold one entry per step plus w_0")
+    if trace.positions[0] != GroupWord.identity():
+        raise AssertionError("w_0 must be the identity")
+    for k, g in enumerate(trace.letters, start=1):
+        w_prev, w_cur = trace.positions[k - 1], trace.positions[k]
+        if reduce_left_multiply(g, w_prev) != w_cur:
+            raise AssertionError(f"w_{k} is not reduce(g_{k} * w_{k-1})")
+        if abs(w_cur.length - w_prev.length) != 1:
+            raise AssertionError(f"length jump at step {k} is not +-1")

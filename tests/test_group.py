@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 from dihedral_erw.group import (
     GroupWord,
     MemoryParams,
+    _letter,
     complement,
     reduce_left_multiply,
-    sample_next_letter,
     signed_location,
     simulate_walk,
     step_prob_a,
     word_metric,
 )
 from dihedral_erw.montecarlo import replication_stream
+from oracles import check_invariants
 
 E = GroupWord.identity()
 
@@ -128,47 +129,33 @@ class TestMemoryParams:
 
 
 class TestSampleNextLetter:
+    """The scalar sampler group._letter, which simulate_walk draws every letter through.
+
+    Generator.random(k) gives the same doubles as k calls of random(), so
+    each check sees the draws of one scalar draw per letter.
+    """
+
     def test_degenerate_repeat(self):
         rng = np.random.default_rng(0)
-        params = MemoryParams.from_p(1.0)
-        assert all(
-            sample_next_letter(5, 0, 5, params, rng) == "a" for _ in range(50)
-        )
-
-    def test_counts_validated(self):
-        rng = np.random.default_rng(0)
-        params = MemoryParams.from_p(0.5)
-        with pytest.raises(ValueError):
-            sample_next_letter(2, 2, 3, params, rng)
-        with pytest.raises(ValueError):
-            sample_next_letter(1, 0, 0, params, rng)
-        with pytest.raises(ValueError):
-            sample_next_letter(0, 0, -1, params, rng)
+        q = MemoryParams.from_p(1.0).q
+        assert all(_letter(u, q, 5, 5) == "a" for u in rng.random(50).tolist())
 
     def test_conditional_probability_value(self):
         # A=2, B=1, n=3, p=0.75: P(a) = (0.75*2 + 0.25*1)/3 = 7/12
-        params = MemoryParams.from_p(0.75)
+        q = MemoryParams.from_p(0.75).q
         rng = replication_stream(4242, 0)
         draws = 1_000_000
-        hits = sum(sample_next_letter(2, 1, 3, params, rng) == "a" for _ in range(draws))
+        hits = sum(_letter(u, q, 1, 3) == "a" for u in rng.random(draws).tolist())
         expect = 7.0 / 12.0
         stderr = (expect * (1 - expect) / draws) ** 0.5
         assert abs(hits / draws - expect) < 4 * stderr
 
     def test_memoryless_case(self):
-        params = MemoryParams.from_p(0.5)
+        q = MemoryParams.from_p(0.5).q
         rng = replication_stream(77, 0)
         draws = 200_000
-        hits = sum(sample_next_letter(190, 10, 200, params, rng) == "a" for _ in range(draws))
+        hits = sum(_letter(u, q, 180, 200) == "a" for u in rng.random(draws).tolist())
         assert abs(hits / draws - 0.5) < 4 * (0.25 / draws) ** 0.5
-
-
-class _FixedUniform:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 class TestStepLaw:
@@ -199,9 +186,9 @@ class TestStepLaw:
         points += [(MemoryParams.from_q(q), 0, 0, 0) for q in (-1.0, -0.5, 0.0, 0.3, 1.0)]
         for params, A, B, n in points:
             u = step_prob_a(params.q, A - B, n)
-            assert sample_next_letter(A, B, n, params, _FixedUniform(u)) == "b"
+            assert _letter(u, params.q, A - B, n) == "b"
             below = float(np.nextafter(u, 0.0))
-            assert sample_next_letter(A, B, n, params, _FixedUniform(below)) == "a"
+            assert _letter(below, params.q, A - B, n) == "a"
 
 
 class TestSimulateWalk:
@@ -213,7 +200,7 @@ class TestSimulateWalk:
     def test_invariants_hold(self):
         for q, steps in ((-1.0, 500), (-0.3, 500), (0.0, 500), (0.6, 500), (0.5, 10_000)):
             trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(11, 0))
-            trace.check_invariants()
+            check_invariants(trace)
 
     def test_single_step_uniform(self):
         params = MemoryParams.from_p(0.3)

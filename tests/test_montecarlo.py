@@ -714,16 +714,27 @@ class TestQSL:
 
 class TestSummaries:
     def test_ztilde_sample_variance_matches_quadrature(self):
-        # terminal Ztilde variance against the limit integral, 4 stderr band
+        # terminal Ztilde variance against the limit integral, and the finite-n
+        # moments against the exact layer, each in a 4 stderr band
+        from dihedral_erw.moments import h_moment_table, var_ztilde_exact
         from dihedral_erw.quadrature import var_ztilde_infinity
 
-        n, reps = 100_000, 1000
-        ens = sample_paths(0.5, n, reps, SEED)
+        q, n, reps = 0.5, 100_000, 1000
+        ens = sample_paths(q, n, reps, SEED)
         z = ens.Ztilde
         s2 = float(np.var(z, ddof=1))
         m4 = float(np.mean((z - z.mean()) ** 4))
         stderr_s2 = math.sqrt(max(m4 - s2**2, 0.0) / reps)
-        assert abs(s2 - var_ztilde_infinity(0.5)) <= 4 * stderr_s2
+        assert abs(s2 - var_ztilde_infinity(q)) <= 4 * stderr_s2
+        assert abs(s2 - var_ztilde_exact(n - 1, q)) <= 4 * stderr_s2   # E[Ztilde_n^2]
+        # E[W_n^2] = H_n, and E[QV_n] = n - q^2 sum_{k<n} H_k/k^2; at q = 0 both are n,
+        # so a wrong or sign-flipped q in the step law shows here
+        h = h_moment_table(n, q)
+        qv_exact = n - q * q * math.fsum(h[1:n] / np.arange(1, n) ** 2)
+        for x, exact in ((ens.W.astype(float) ** 2, h[n]), (ens.QV, qv_exact)):
+            mean, sd = float(np.mean(x)), float(np.std(x, ddof=1)) / math.sqrt(reps)
+            assert abs(mean - exact) <= 4 * sd, (mean, exact, sd)
+            assert abs(mean - n) >= 10 * sd, (mean, n, sd)
 
 
 @pytest.mark.slow
