@@ -51,6 +51,9 @@ from .quadrature import (
     var_ztilde_infinity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+__all__ = sorted(name for name, value in globals().items()     # not the submodules
+                 if not name.startswith("_") and not isinstance(value, _Module))
 
 __version__ = "0.1.0"

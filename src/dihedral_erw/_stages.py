@@ -1,22 +1,8 @@
-"""Monte Carlo passes on several CPUs: row parts, or a narrow pass as two stages.
+"""The block stages of montecarlo's passes, and the child processes that run them.
 
-montecarlo.sample_paths imports this module only for a pass that
-montecarlo._plan would run in two or more processes on unbounded CPUs, and
-then asks usable_cpus how many there are; so a process that runs no such
-pass neither loads nor compiles it, nor subprocess.
-
-A row of a pass depends only on its own stream.  A wide pass is cut into
-contiguous parts of rows (split_pass): the caller evolves the first with
-montecarlo._evolve, and a child each other part.  A narrow pass, whose
-steps are bound by per-call dispatch, is cut by stage instead
-(stage_pass): the caller draws the uniforms and runs the walk, the only
-part that reads them, and a child the compensated sums, from the signs of
-the walk's steps.  A child is a fresh interpreter started with
-sys.executable and serve, not a multiprocessing worker, so no __main__
-module is imported again, and it stays in the caller's process group.  The
-module imports nothing of the package: the engine's functions are passed
-in, so montecarlo and _split form no import cycle.
-"""
+Every pass hands each block of its history to Collectors, and a pipelined
+pass runs walk in the caller and sums in a Child.  It imports nothing of the
+package, so montecarlo imports and calls it with no import cycle."""
 
 from __future__ import annotations
 
@@ -24,7 +10,6 @@ import contextlib
 import math
 import os
 import pickle
-import subprocess
 import sys
 import tempfile
 import time
@@ -35,69 +20,81 @@ import numpy as np
 # argv[1] is the src directory of the caller's package, put ahead of the
 # child's working directory, so a dihedral_erw there cannot shadow it
 COMMAND = ("-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-                 "from dihedral_erw import _split, montecarlo; "
-                 "_split.serve(montecarlo._evolve, montecarlo._Collectors)")
-BLOCK_CELLS = 1 << 14           # steps x rows of a block of signs sent to the sums stage
+                 "from dihedral_erw import montecarlo; montecarlo._serve()")
 
 
-def split_pass(evolve, parts: int, reps: int, args: tuple) -> tuple:
-    """evolve(*args, first, rows) over rows 0..reps-1, in parts contiguous parts.
+def lap(seconds: dict, key: str, since: float) -> float:
+    now = time.perf_counter()
+    seconds[key] += now - since
+    return now
 
-    Returns the items, concatenated in row order, so bit for bit those of
-    one process, and the seconds, each the maximum over the processes.  A
-    child that exits non-zero or writes no result makes the call raise
-    RuntimeError with its exit status and the end of its stderr.  Every
-    child is killed if still running, and reaped, before the call returns
-    or raises, KeyboardInterrupt included.
+
+class Collectors:
+    """qsl, lil and doob of one pass, computed block by block from the history.
+
+    Each collector does, per row, the IEEE operations the scalar chain does
+    per step, so it is bit-identical to a per-step update: the qsl sum is
+    continued along the steps by np.add.accumulate, which adds strictly in
+    order, and max/min are exact in any order.  No value is NaN or -0.0
+    (S starts at +0.0 and x - x is +0.0; the doob residuals are absolute
+    values), so the order of the max/min reductions cannot show either.
     """
-    edges = [reps * k // parts for k in range(parts + 1)]
-    children = []
-    try:
-        for first, end in zip(edges[1:], edges[2:]):
-            children.append(_Child(f"evolving rows {first}..{end - 1}"))
-            children[-1].send(pickle.dumps(("rows", (*args, first, end - first))))
-        results = [evolve(*args, 0, edges[1])] + [child.result() for child in children]
-    finally:
-        for child in children:
-            child.stop()
-    items = {k: tuple(map(np.concatenate, zip(*(r[0][k] for r in results))))
-             for k in results[0][0]}
-    return items, {k: max(r[1][k] for r in results) for k in results[0][1]}
+
+    def __init__(self, q: float, reps: int, ring: int, lil_start: int):
+        self.c_q, self.c_qq, self.lil_start = np.array(q), np.array(q * q), lil_start
+        self.qsl = np.zeros(reps)
+        self.lil_pos = np.full(reps, -np.inf)
+        self.lil_neg_neg = np.full(reps, np.inf)    # -lil_neg, tracked with minimum
+        self.dmax = np.zeros((2, reps))
+        self.T, self.U = np.empty((ring, reps)), np.empty((ring, reps))
+
+    def add_s(self, first: int, S) -> None:
+        """qsl and lil, which read S alone; rows are steps first, first + 1, ..."""
+        b = len(S)
+        T = self.T[:b]
+        # qsl: sum of (S_m / m)^2, continued from the running sum
+        np.divide(S, np.arange(first, first + b, dtype=float)[:, None], out=T)
+        np.multiply(T, T, out=T)
+        np.add(self.qsl, T[0], out=T[0])
+        np.add.accumulate(T, axis=0, out=T)
+        self.qsl[:] = T[-1]
+        # lil: running max of +-S_m / sqrt(2 m lnln m) from step lil_start on
+        j = max(0, self.lil_start - first)
+        if j < b:
+            m = np.arange(first + j, first + b, dtype=float)
+            lnln = np.fromiter(map(math.log, map(math.log, range(first + j, first + b))), float)
+            scale = 1.0 / np.sqrt(2.0 * m * lnln)   # correctly rounded, as math.sqrt
+            np.multiply(S[j:], scale[:, None], out=T[j:])
+            np.maximum(self.lil_pos, T[j:].max(axis=0), out=self.lil_pos)
+            np.minimum(self.lil_neg_neg, T[j:].min(axis=0), out=self.lil_neg_neg)
+
+    def add_doob(self, S, K, N, NC) -> None:
+        """doob: |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|, from rows (as in
+        add_s) of S, K = (-Xi, Ztilde), N (the Neumaier sums) and NC (their corrections)."""
+        T, U = self.T[:len(S)], self.U[:len(S)]
+        np.add(S, K[:, 0], out=T)
+        np.multiply(self.c_q, K[:, 1], out=U)
+        np.subtract(T, U, out=T)
+        np.absolute(T, out=T)
+        np.maximum(self.dmax[0], T.max(axis=0), out=self.dmax[0])
+        np.add(N[:, 0], NC[:, 0], out=T)
+        np.add(N[:, 1], NC[:, 1], out=U)
+        np.multiply(self.c_qq, U, out=U)
+        np.subtract(T, U, out=T)
+        np.absolute(T, out=T)
+        np.maximum(self.dmax[1], T.max(axis=0), out=self.dmax[1])
+
+    def arrays(self) -> tuple:
+        """qsl_sum, lil_pos, lil_neg, doob_resid_max, qv_resid_max.
+
+        lil stays at -inf/+inf when steps < lil_start; sample_paths never
+        returns it then.
+        """
+        return (self.qsl, self.lil_pos, np.negative(self.lil_neg_neg),
+                self.dmax[0].copy(), self.dmax[1].copy())
 
 
-def stage_pass(uniforms, collectors, args: tuple, reps: int) -> tuple:
-    """montecarlo._evolve(*args, 0, reps) as a pipeline of two processes.
-
-    The caller draws the uniforms with uniforms (montecarlo._uniforms) and
-    runs the walk, W and e = -dW, by the engine's operations.  After every
-    block of steps it writes the signs of e, packed eight to a byte, to a
-    child running _sums, and then computes S from e, the snapshots, and
-    the collectors that read S alone (collectors.add_s).  The child
-    computes the paths and the doob collector (collectors.add_doob).  The
-    pipe holds the blocks the child has not read yet, so the two overlap.
-    The seconds are each the maximum over the two processes, so "steps" is
-    the longer of the walk and the sums, time spent waiting on the other
-    process excluded.  Failures and interrupts are handled as in split_pass.
-    """
-    q, steps, master_seed, collect, snapshot_steps, chunk = args
-    block = max(1, BLOCK_CELLS // reps)
-    child = _Child(f"summing rows 0..{reps - 1}")
-    try:
-        child.send(pickle.dumps(("sums", (q, steps, collect, reps, block))))
-        seconds = {"fill": 0.0, "steps": 0.0, "collectors": 0.0}
-        col = collectors(q, reps, block) if collect else None
-        snaps = _walk(child, uniforms(master_seed, 0, reps, steps, chunk, seconds), q, reps,
-                      block, snapshot_steps, col, seconds)
-        items, sums_seconds = child.result()
-    finally:
-        child.stop()
-    if col is not None:
-        items["collectors"] = col.arrays()[:3] + items["collectors"][3:]
-    items.update((m, (s,)) for m, s in snaps.items())
-    return items, {k: max(seconds[k], sums_seconds[k]) for k in seconds}
-
-
-def _walk(child, uniforms, q, reps, block, snapshot_steps, col, seconds) -> dict:
+def walk(child, uniforms, q, reps, block, snapshot_steps, col, seconds) -> dict:
     """The first stage: W and e = -dW, as in montecarlo._evolve, then S, snapshots and col.
 
     Returns the snapshots.  Stops early once the child has closed its
@@ -119,11 +116,10 @@ def _walk(child, uniforms, q, reps, block, snapshot_steps, col, seconds) -> dict
         for m in snapshot_steps:
             if n0 < m <= n0 + b:
                 snaps[m][:] = S[m - n0]
-        now = time.perf_counter()
-        seconds["steps"] += now - clock
+        clock = lap(seconds, "steps", clock)
         if col is not None:
             col.add_s(n0 + 1, S[1:b + 1])
-            seconds["collectors"] += time.perf_counter() - now
+            lap(seconds, "collectors", clock)
         S[0] = S[b]
         return True
 
@@ -141,7 +137,7 @@ def _walk(child, uniforms, q, reps, block, snapshot_steps, col, seconds) -> dict
                 np.copysign(one, e, e)              # e = -dW
                 np.subtract(W, e, W)
                 n = n_[()] = n + 1
-            seconds["steps"] += time.perf_counter() - clock
+            lap(seconds, "steps", clock)
             k, lo = k + hi - lo, hi
             if k == block:
                 if not block_done(n - k, k):
@@ -164,7 +160,7 @@ def _s_history(S, e, n0: int) -> None:
     np.add.accumulate(S[:b + 1], axis=0, out=S[:b + 1])
 
 
-def _sums(stdin, collectors, q, steps, collect, reps, block) -> tuple:
+def sums(stdin, lil_start, q, steps, collect, reps, block) -> tuple:
     """The second stage: from the signs of e on stdin, the items of montecarlo._evolve.
 
     Snapshots excepted, and of the collectors only doob.  A block of steps
@@ -183,12 +179,12 @@ def _sums(stdin, collectors, q, steps, collect, reps, block) -> tuple:
     W, S = np.zeros((block + 1, reps)), np.zeros((block + 1, reps))
     Z, D, NC = (np.zeros((block + 1, rows, reps)) for rows in (nz, nz, nz - 2))
     V = np.empty((block, nz, reps))
-    # one view object per row: in place must mean out is the input (see _evolve)
+    # one view object per row: in place must mean out is the input (see montecarlo._evolve)
     Z_r, D_r, V_r, NC_r = list(Z), list(D), list(V), list(NC)
     DK, DN, VK = list(D[:, :2]), list(D[:, 2:]), list(V[:, :2])
     rows = [(VK[k], DK[k], Z_r[k], V_r[k], Z_r[k + 1], D_r[k + 1], NC_r[k], DN[k + 1],
              NC_r[k + 1]) for k in range(block)]
-    col = collectors(q, reps, block) if collect else None
+    col = Collectors(q, reps, block, lil_start) if collect else None
     packed = np.empty((block * reps + 7) // 8, dtype=np.uint8)
     for n0 in range(0, steps, block):               # steps n0 + 1 .. n0 + b
         b = min(block, steps - n0)
@@ -215,11 +211,10 @@ def _sums(stdin, collectors, q, steps, collect, reps, block) -> tuple:
             np.subtract(z, z_new, d_new)
             np.add(d_new, v, d_new)
             np.add(nc, dn_new, nc_new)
-        now = time.perf_counter()
-        seconds["steps"] += now - clock
+        clock = lap(seconds, "steps", clock)
         if col is not None:
             col.add_doob(S[1:b + 1], Z[1:b + 1, :2], Z[1:b + 1, 2:], NC[1:b + 1])
-            seconds["collectors"] += time.perf_counter() - now
+            lap(seconds, "collectors", clock)
         for h in (W, S, Z, D, NC):
             h[0] = h[b]
     items = {"paths": (W[0].astype(np.int64), S[0].astype(np.int64), np.subtract(0.0, Z[0, 0]),
@@ -229,26 +224,18 @@ def _sums(stdin, collectors, q, steps, collect, reps, block) -> tuple:
     return items, seconds
 
 
-def serve(evolve, collectors) -> None:
-    """A child: a pickled (stage, arguments) on stdin, the pickled (items, seconds) on stdout.
+class Child:
+    """A child process running montecarlo._serve, and what it does, for messages.
 
-    Stage "rows" is evolve(*arguments); stage "sums" is _sums, which reads
-    the walk's signs from stdin after the pickle.
-    """
-    stage, args = pickle.load(sys.stdin.buffer)
-    result = evolve(*args) if stage == "rows" else _sums(sys.stdin.buffer, collectors, *args)
-    pickle.dump(result, sys.stdout.buffer)
-
-
-class _Child:
-    """A child process running serve, and what it does, for messages.
-
-    Its stdout and stderr are unnamed temporary files, not pipes, so it
-    never blocks on its output, however long the caller blocks writing to
-    its stdin.
+    It is started with sys.executable and COMMAND, not as a
+    multiprocessing worker, so no __main__ module is imported again, and it
+    stays in the caller's process group.  Its stdout and stderr are unnamed
+    temporary files, not pipes, so it never blocks on its output, however
+    long the caller blocks writing to its stdin.
     """
 
     def __init__(self, task: str):
+        import subprocess               # here, so a process that starts no child never loads it
         self.task, self.broken = task, False
         self.out, self.err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
         src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -292,7 +279,6 @@ class _Child:
             self.proc.stdin.close()
         self.out.close()
         self.err.close()
-
 
 def usable_cpus() -> int:
     """The CPUs of the affinity mask, at most the cgroup v2 CPU quota rounded up."""

@@ -145,7 +145,7 @@ def t2(n: int, q: float) -> float:
 
 def r_norm(n: float, p: float) -> float:
     """Scale of |W_n|: sqrt(n) below p = 3/4, sqrt(n/log n) at it (n > 1), n^(2(1-p)) above."""
-    if n < 1:
+    if not n >= 1:                      # NaN included
         raise ValueError("n must be at least 1")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")

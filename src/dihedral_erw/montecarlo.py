@@ -6,8 +6,9 @@ consumes exactly one uniform per step from its own counter-based stream
 row i is the same in every ensemble of at least i + 1 rows.  That is what
 lets sample_paths compute each ensemble once per process and answer
 narrower requests from stored rows, and run a wide pass on several CPUs,
-cut by rows.  A narrow, long pass runs on two, cut by stage: the walk in
-this process, and the compensated sums in another, from the walk's signs.
+cut by rows (_part_pass).  A narrow, long pass runs on two, cut by stage
+(_stage_pass): the walk in this process, and the compensated sums in a
+child (_serve), from the walk's signs.
 
 The step loop only advances the walk and its compensated sums.  The path
 collectors (qsl, lil, doob) are computed from a short history of those
@@ -17,6 +18,8 @@ steps, block by block, all three in the one pass that any of them needs.
 from __future__ import annotations
 
 import math
+import pickle
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
@@ -84,12 +87,15 @@ class PathStats:
 
 # Process-wide ensemble store: (q, steps, master_seed) -> {item: arrays}.
 # An item is "paths" (W, S, Xi, Ztilde, QV), "collectors" (the arrays of
-# _Collectors.arrays) or a snapshot step; each holds the first rows of its
+# _stages.Collectors.arrays) or a snapshot step; each holds the first rows of its
 # arrays.  Row i depends only on stream i, so any stored prefix answers every
 # request for at most that many rows.
 _ENSEMBLES: Dict[tuple, Dict[object, tuple]] = {}
 _UNIFORMS = np.empty(0)
 _philox = None
+# imported at a process's first pass, as _philox at its first stream, since a
+# process keeps the memory it took to compile a module (BENCH_29.json)
+_stages = None
 _TILE = 128                     # streams per staging block of the uniform fill
 # A pass of reps rows and steps steps runs as _plan(reps, steps, cpus) says.
 # A row part below either floor saves no time: a child takes about 0.2 s to
@@ -99,6 +105,8 @@ _TILE = 128                     # streams per staging block of the uniform fill
 _MIN_PART_ROWS = 256
 _MIN_PART_WORK = 1 << 24        # path-steps
 _MIN_STAGE_STEPS = 50_000
+# steps x rows of a collector block, and of a block of signs sent to the sums stage
+_BLOCK_CELLS = 1 << 14
 
 
 def sample_paths(
@@ -126,11 +134,11 @@ def sample_paths(
     of stored rows.  So after one collector pass, a collector request on
     no more rows evolves nothing.
 
-    A wide pass runs on every usable CPU, its rows cut into parts, and a
-    narrow one of at least _MIN_STAGE_STEPS steps on two, the walk and the
-    compensated sums as a pipeline (see _plan and _split); both give the
-    one-process pass bit for bit.  A failed child process makes the call
-    raise RuntimeError and store no row.
+    A wide pass runs on every usable CPU, its rows cut into parts
+    (_part_pass), and a narrow one of at least _MIN_STAGE_STEPS steps on
+    two, the walk and the compensated sums as a pipeline (_stage_pass;
+    _plan chooses); both give the one-process pass bit for bit.  A failed
+    child process makes the call raise RuntimeError and store no row.
     """
     steps, reps = _check_int(steps, "steps"), _check_int(reps, "reps")
     master_seed = _check_int(master_seed, "master_seed", 0)
@@ -159,14 +167,13 @@ def sample_paths(
     if any(stored_rows(k) < reps for k in needed):
         chunk = int(max(64, min(1024, (1 << 22) // (reps + min(_TILE, reps)))))
         args = (q, steps, master_seed, bool(collect), snapshot_steps, chunk)
-        parts, stages = _plan(reps, steps, math.inf)    # at the floors alone
-        if parts * stages > 1:
-            from ._split import split_pass, stage_pass, usable_cpus
-            parts, stages = _plan(reps, steps, usable_cpus())
+        global _stages
+        from . import _stages
+        parts, stages = _plan(reps, steps, _stages.usable_cpus())
         if stages > 1:
-            fresh, out.seconds = stage_pass(_uniforms, _Collectors, args, reps)
+            fresh, out.seconds = _stage_pass(reps, args)
         elif parts > 1:
-            fresh, out.seconds = split_pass(_evolve, parts, reps, args)
+            fresh, out.seconds = _part_pass(parts, reps, args)
         else:
             fresh, out.seconds = _evolve(*args, 0, reps)
         entry.update((k, arrays) for k, arrays in fresh.items() if stored_rows(k) < reps)
@@ -189,10 +196,10 @@ def _plan(reps: int, steps: int, cpus) -> tuple:
     """(parts, stages) for a pass of reps rows and steps steps on cpus usable CPUs.
 
     Its rows are cut into parts contiguous parts, one process each
-    (_split.split_pass).  On two CPUs or more, a pass narrower than one
-    part and at least _MIN_STAGE_STEPS long runs as two stages, the walk
-    and the sums, in two processes (_split.stage_pass).  Any other pass of
-    one part runs in this process.
+    (_part_pass).  On two CPUs or more, a pass narrower than one part and
+    at least _MIN_STAGE_STEPS long runs as two stages, the walk and the
+    sums, in two processes (_stage_pass).  Any other pass of one part runs
+    in this process.
     """
     parts = max(1, min(cpus, reps // _MIN_PART_ROWS, reps * steps // _MIN_PART_WORK))
     return parts, 2 if reps < _MIN_PART_ROWS and steps >= _MIN_STAGE_STEPS and cpus >= 2 else 1
@@ -221,7 +228,7 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
     Returns the store items and the pass's seconds (see PathStats).  Row i
     of the items is replication first + i, driven by its stream alone, so
     any cut of a pass into contiguous parts gives the same rows (this is
-    what _split relies on).  chunk is the number of steps per uniform
+    what _part_pass relies on).  chunk is the number of steps per uniform
     fill; sample_paths sets it from the width of the whole pass, so the
     buffers of a split pass's parts together are no larger than one
     process's buffer.  Each
@@ -257,11 +264,11 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
     ring and writes them to row (n + 1) % ring.  A bare pass (collect
     false) needs only the last state: Z alternates between two rows, and S
     and NC are updated in place.  With collect true the ring holds a block
-    of steps, and _Collectors reads each block once its last row is
+    of steps, and _stages.Collectors reads each block once its last row is
     written.
     """
     snaps = {m: np.empty(reps, dtype=np.int64) for m in snapshot_steps}
-    ring = int(max(2, min(chunk, (1 << 16) // reps))) if collect else 2
+    ring = int(max(2, min(chunk, _BLOCK_CELLS // reps))) if collect else 2
 
     half, one, c_q, c_hq, c_qq = (np.array(v) for v in (0.5, 1.0, q, 0.5 * q, q * q))
     n_ = np.ones(())                                # max(n, 1), as in step_prob_a
@@ -277,7 +284,7 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
     S_rows, NC_rows = list(S_h), list(NC_h)
     rows = [(S_rows[r % kept], Z_h[r], NC_rows[r % kept]) for r in range(ring)]
     steps_to = [rows[r - 1] + rows[r] for r in range(ring)]     # states before, after
-    collectors = _Collectors(q, reps, ring) if collect else None
+    collectors = _stages.Collectors(q, reps, ring, LIL_START) if collect else None
 
     seconds = {"fill": 0.0, "steps": 0.0, "collectors": 0.0}
     n = 0                                           # time before the step
@@ -314,12 +321,12 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
                 if m in snaps:
                     snaps[m][:] = S_new
                 n = n_[()] = m
-            clock = _lap(seconds, "steps", clock)
+            clock = _stages.lap(seconds, "steps", clock)
             if collectors is not None:
                 block = slice(r0, r0 + hi - lo)
                 collectors.add_s(m_first, S_h[block])
                 collectors.add_doob(S_h[block], Z_h[block, :2], Z_h[block, 2:], NC_h[block])
-                clock = _lap(seconds, "collectors", clock)
+                clock = _stages.lap(seconds, "collectors", clock)
             lo = hi
 
     S, Z, NC = rows[n % ring]
@@ -354,82 +361,80 @@ def _uniforms(master_seed, first, reps, steps, chunk, seconds):
             for st, row in zip(streams[j:j + tile], draws):
                 st.random(out=row)
             u_buf[:c_eff, j:j + tile] = draws.T
-        _lap(seconds, "fill", clock)
+        _stages.lap(seconds, "fill", clock)
         yield u_buf[:c_eff]
         clock = time.perf_counter()
 
 
-def _lap(seconds: dict, key: str, since: float) -> float:
-    now = time.perf_counter()
-    seconds[key] += now - since
-    return now
+def _part_pass(parts: int, reps: int, args: tuple) -> tuple:
+    """_evolve(*args, first, rows) over rows 0..reps-1, in parts contiguous parts.
 
-
-class _Collectors:
-    """qsl, lil and doob of one pass, computed block by block from the history.
-
-    Each collector does, per row, the IEEE operations the scalar chain does
-    per step, so it is bit-identical to a per-step update: the qsl sum is
-    continued along the steps by np.add.accumulate, which adds strictly in
-    order, and max/min are exact in any order.  No value is NaN or -0.0
-    (S starts at +0.0 and x - x is +0.0; the doob residuals are absolute
-    values), so the order of the max/min reductions cannot show either.
-    Every pass hands each block to add_s and add_doob, in one process or
-    (_split.stage_pass) in two.
+    The caller evolves the first part, and a child process each other.
+    Returns the items, concatenated in row order, so bit for bit those of
+    one process, and the seconds, each the maximum over the processes.  A
+    failed child makes the call raise RuntimeError (_stages.Child.result).  Every
+    child is killed if still running, and reaped, before the call returns
+    or raises, KeyboardInterrupt included.
     """
+    edges = [reps * k // parts for k in range(parts + 1)]
+    children = []
+    try:
+        for first, end in zip(edges[1:], edges[2:]):
+            children.append(_stages.Child(f"evolving rows {first}..{end - 1}"))
+            children[-1].send(pickle.dumps(("rows", (*args, first, end - first))))
+        results = [_evolve(*args, 0, edges[1])] + [child.result() for child in children]
+    finally:
+        for child in children:
+            child.stop()
+    items = {k: tuple(map(np.concatenate, zip(*(r[0][k] for r in results))))
+             for k in results[0][0]}
+    return items, {k: max(r[1][k] for r in results) for k in results[0][1]}
 
-    def __init__(self, q: float, reps: int, ring: int):
-        self.c_q, self.c_qq = np.array(q), np.array(q * q)
-        self.qsl = np.zeros(reps)
-        self.lil_pos = np.full(reps, -np.inf)
-        self.lil_neg_neg = np.full(reps, np.inf)    # -lil_neg, tracked with minimum
-        self.dmax = np.zeros((2, reps))
-        self.T, self.U = np.empty((ring, reps)), np.empty((ring, reps))
 
-    def add_s(self, first: int, S) -> None:
-        """qsl and lil, which read S alone; rows are steps first, first + 1, ..."""
-        b = len(S)
-        T = self.T[:b]
-        # qsl: sum of (S_m / m)^2, continued from the running sum
-        np.divide(S, np.arange(first, first + b, dtype=float)[:, None], out=T)
-        np.multiply(T, T, out=T)
-        np.add(self.qsl, T[0], out=T[0])
-        np.add.accumulate(T, axis=0, out=T)
-        self.qsl[:] = T[-1]
-        # lil: running max of +-S_m / sqrt(2 m lnln m) from step LIL_START on
-        j = max(0, LIL_START - first)
-        if j < b:
-            m = np.arange(first + j, first + b, dtype=float)
-            lnln = np.fromiter(map(math.log, map(math.log, range(first + j, first + b))), float)
-            scale = 1.0 / np.sqrt(2.0 * m * lnln)   # correctly rounded, as math.sqrt
-            np.multiply(S[j:], scale[:, None], out=T[j:])
-            np.maximum(self.lil_pos, T[j:].max(axis=0), out=self.lil_pos)
-            np.minimum(self.lil_neg_neg, T[j:].min(axis=0), out=self.lil_neg_neg)
+def _stage_pass(reps: int, args: tuple) -> tuple:
+    """_evolve(*args, 0, reps) as a pipeline of two processes.
 
-    def add_doob(self, S, K, N, NC) -> None:
-        """doob: |S - Xi - q Zt| and |QV correction - q^2 sum W_k^2/k^2|, from rows (as in
-        add_s) of S, K = (-Xi, Ztilde), N (the Neumaier sums) and NC (their corrections)."""
-        T, U = self.T[:len(S)], self.U[:len(S)]
-        np.add(S, K[:, 0], out=T)
-        np.multiply(self.c_q, K[:, 1], out=U)
-        np.subtract(T, U, out=T)
-        np.absolute(T, out=T)
-        np.maximum(self.dmax[0], T.max(axis=0), out=self.dmax[0])
-        np.add(N[:, 0], NC[:, 0], out=T)
-        np.add(N[:, 1], NC[:, 1], out=U)
-        np.multiply(self.c_qq, U, out=U)
-        np.subtract(T, U, out=T)
-        np.absolute(T, out=T)
-        np.maximum(self.dmax[1], T.max(axis=0), out=self.dmax[1])
+    The caller draws the uniforms (_uniforms) and runs the walk
+    (_stages.walk), W and e = -dW, by the engine's operations, the only
+    part that reads them.  After every block of steps it writes the signs
+    of e, packed eight to a byte, to a child running _stages.sums, and then
+    computes S from e, the snapshots, and the collectors that read S alone
+    (Collectors.add_s).  The child computes the paths and the doob
+    collector (Collectors.add_doob).  The pipe holds the blocks the child
+    has not read yet, so the two overlap.  The seconds are each the maximum
+    over the two processes, so "steps" is the longer of the walk and the
+    sums, time spent waiting on the other process excluded.  Failures and
+    interrupts are handled as in _part_pass.
+    """
+    q, steps, master_seed, collect, snapshot_steps, chunk = args
+    block = max(1, _BLOCK_CELLS // reps)
+    child = _stages.Child(f"summing rows 0..{reps - 1}")
+    try:
+        child.send(pickle.dumps(("sums", (q, steps, collect, reps, block))))
+        seconds = {"fill": 0.0, "steps": 0.0, "collectors": 0.0}
+        col = _stages.Collectors(q, reps, block, LIL_START) if collect else None
+        snaps = _stages.walk(child, _uniforms(master_seed, 0, reps, steps, chunk, seconds), q,
+                             reps, block, snapshot_steps, col, seconds)
+        items, sums_seconds = child.result()
+    finally:
+        child.stop()
+    if col is not None:
+        items["collectors"] = col.arrays()[:3] + items["collectors"][3:]
+    items.update((m, (s,)) for m, s in snaps.items())
+    return items, {k: max(seconds[k], sums_seconds[k]) for k in seconds}
 
-    def arrays(self) -> tuple:
-        """qsl_sum, lil_pos, lil_neg, doob_resid_max, qv_resid_max.
 
-        lil stays at -inf/+inf when steps < LIL_START; sample_paths never
-        returns it then.
-        """
-        return (self.qsl, self.lil_pos, np.negative(self.lil_neg_neg),
-                self.dmax[0].copy(), self.dmax[1].copy())
+def _serve() -> None:
+    """A child: a pickled (stage, arguments) on stdin, the pickled (items, seconds) on stdout.
+
+    Stage "rows" is _evolve(*arguments); "sums" is _stages.sums, which
+    reads the walk's signs from stdin after the pickle."""
+    global _stages
+    from . import _stages
+    stage, args = pickle.load(sys.stdin.buffer)
+    result = (_evolve(*args) if stage == "rows"
+              else _stages.sums(sys.stdin.buffer, LIL_START, *args))
+    pickle.dump(result, sys.stdout.buffer)
 
 
 @dataclass(frozen=True)
@@ -444,12 +449,15 @@ def ks_normal_test(samples, alpha: float = 0.01) -> KSResult:
 
     Uses the asymptotic critical value c(alpha)/sqrt(R); small samples
     (R < 100) are refused because the asymptotic constant is not valid
-    there and the exact table is out of scope.  The normal CDF is
-    erfc(-x/sqrt(2))/2, by math.erfc element by element.
+    there and the exact table is out of scope, and so are non-finite
+    ones.  The normal CDF is erfc(-x/sqrt(2))/2, by math.erfc element by
+    element.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("empty sample set")
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):     # sorted, so NaN is last
+        raise ValueError("samples must be finite")
     if x.size < KS_MIN_SAMPLES:
         raise ValueError(f"need at least {KS_MIN_SAMPLES} samples for the asymptotic threshold")
     if alpha not in KS_CRITICAL:

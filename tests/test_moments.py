@@ -320,6 +320,8 @@ class TestRNorm:
             r_norm(10, 1.0)
         with pytest.raises(ValueError):
             r_norm(0.5, 0.5)
+        with pytest.raises(ValueError):
+            r_norm(math.nan, 0.5)
 
     def test_critical_needs_positive_log(self):
         # log 1 = 0, so at p = 3/4 the scale needs n > 1; below p = 3/4, n = 1 is fine

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dihedral_erw
-from dihedral_erw import _philox, _split, montecarlo
+from dihedral_erw import _philox, _stages, montecarlo
 from dihedral_erw.coupling import (CoupledState, advance, coupled_states_along,
                                    encode_increment, final_coupled_state)
 from dihedral_erw.group import MemoryParams, simulate_walk, step_prob_a
@@ -67,11 +67,11 @@ class TestStreams:
 
     def test_import_leaves_numpy_random_unloaded(self):
         # a process that builds no stream, such as an exact computation,
-        # loads neither numpy.random nor the stream module, nor the split one
+        # loads neither numpy.random nor the stream module, nor the stages one
         probe = ("import sys\nimport dihedral_erw, dihedral_erw.cli, dihedral_erw.montecarlo\n"
                  "print(sorted(m for m in sys.modules\n"
                  "             if m.startswith(('numpy.random', 'dihedral_erw._philox',\n"
-                 "                              'dihedral_erw._split', 'subprocess'))))")
+                 "                              'dihedral_erw._stages', 'subprocess'))))")
         src = str(Path(dihedral_erw.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
@@ -198,9 +198,11 @@ class TestEngine:
         assert ens.W[0] == w
         assert [int(ens.snapshots[m][0]) for m in range(1, steps + 1)] == s_path
 
-    # Pinned bits of the engine.  At 100 rows a collector block ends at step
-    # 654 and every 655 steps after it, and a uniform chunk every 1024 steps
-    # (8192 is one such edge); the snapshots sit on and next to both edges.
+    # Pinned bits of the engine.  At 100 rows a uniform chunk ends every 1024
+    # steps (8192 is one such edge), and the snapshots sit on and next to it.
+    # They also sit on the edges of the 655-step collector blocks of a 2^16
+    # cell budget, which these digests were pinned with; the 2^14 cell
+    # budget (_BLOCK_CELLS) ends a block at step 162 and every 163 after it.
     @pytest.mark.parametrize("q, steps, reps, collect, snaps, expect", [
         (0.5, 20_000, 100, ("qsl", "lil", "doob"),
          (1, 653, 654, 655, 656, 1309, 1310, 8191, 8192, 8193, 19_999, 20_000),
@@ -229,7 +231,7 @@ class TestEngine:
     ])
     def test_golden_digests(self, monkeypatch, fresh_store, q, steps, reps, collect, snaps,
                             expect):
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)   # two stages on any host
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 2)   # two stages on any host
         assert digest(sample_paths(q, steps, reps, 3, collect=collect,
                                    snapshot_steps=snaps)) == expect
 
@@ -457,11 +459,11 @@ class TestSplitPass:
     def test_split_pass_is_bit_identical(self, monkeypatch, fresh_store, children):
         q, snaps = 0.6, (1, 1024, 1025, self.STEPS // 2, self.STEPS)
         kw = dict(collect=("qsl", "lil", "doob"), snapshot_steps=snaps)
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 2)
         split = sample_paths(q, self.STEPS, self.REPS, SEED, **kw)
         assert len(children) == 1 and children[0].returncode == 0
         fresh_store()
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 1)
         whole = sample_paths(q, self.STEPS, self.REPS, SEED, **kw)
         assert len(children) == 1
         assert digest(split) == digest(whole)
@@ -481,8 +483,8 @@ class TestSplitPass:
         work, floor = montecarlo._MIN_PART_WORK, montecarlo._MIN_STAGE_STEPS
         assert plan(100, 10**5, 2) == (1, 2)           # the mc_long pass: two stages
         assert plan(100, 10**5, 1) == (1, 1)           # one usable CPU
-        monkeypatch.setattr(_split, "cgroup_cpus", lambda: 1)
-        assert plan(100, 10**5, _split.usable_cpus()) == (1, 1)    # a CPU quota of 1
+        monkeypatch.setattr(_stages, "cgroup_cpus", lambda: 1)
+        assert plan(100, 10**5, _stages.usable_cpus()) == (1, 1)    # a CPU quota of 1
         assert plan(100, floor - 1, 2) == (1, 1)       # just under the steps floor
         assert plan(100, floor, 2) == (1, 2)
         assert plan(rows - 1, 10**6, 2) == (1, 2)
@@ -508,14 +510,14 @@ class TestSplitPass:
         assert children == []
 
     def test_cpu_quota_bounds_the_cpus(self, monkeypatch):
-        quota = _split.quota_cpus
+        quota = _stages.quota_cpus
         assert quota("max 100000\n") == math.inf
         assert quota("50000 100000\n") == 1
         assert quota("150000 100000\n") == 2
         assert quota("400000 100000\n") == 4
-        assert 1 <= _split.usable_cpus() <= (os.cpu_count() or 1)
-        monkeypatch.setattr(_split, "cgroup_cpus", lambda: 1)
-        assert _split.usable_cpus() == 1
+        assert 1 <= _stages.usable_cpus() <= (os.cpu_count() or 1)
+        monkeypatch.setattr(_stages, "cgroup_cpus", lambda: 1)
+        assert _stages.usable_cpus() == 1
 
     def test_child_ignores_a_package_in_its_working_directory(self, monkeypatch, tmp_path,
                                                               fresh_store, children):
@@ -524,21 +526,21 @@ class TestSplitPass:
         (shadow / "__init__.py").write_text("raise ImportError('the shadowing package')\n")
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(montecarlo, "_MIN_PART_WORK", 1)
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 2)
         reps = 2 * montecarlo._MIN_PART_ROWS
         split = sample_paths(0.3, 50, reps, SEED, collect=("doob",))
         assert len(children) == 1 and children[0].returncode == 0
         fresh_store()
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 1)
         assert digest(sample_paths(0.3, 50, reps, SEED, collect=("doob",))) == digest(split)
         # and the child of a pass in two stages
         fresh_store()
         monkeypatch.setattr(montecarlo, "_MIN_STAGE_STEPS", 1)
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 2)
         staged = sample_paths(0.3, 500, 7, SEED, collect=("doob",))
         assert len(children) == 2 and children[1].returncode == 0
         fresh_store()
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 1)
         assert digest(sample_paths(0.3, 500, 7, SEED, collect=("doob",))) == digest(staged)
 
     @pytest.mark.parametrize("command, status", [
@@ -547,9 +549,9 @@ class TestSplitPass:
     ])
     def test_failed_part_raises_and_stores_nothing(self, monkeypatch, fresh_store, children,
                                                    command, status):
-        monkeypatch.setattr(_split, "COMMAND", command)
+        monkeypatch.setattr(_stages, "COMMAND", command)
         monkeypatch.setattr(montecarlo, "_MIN_PART_WORK", 1)
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 3)
         with pytest.raises(RuntimeError, match=f"status {status} .*part failed"):
             sample_paths(0.3, 10, 3 * montecarlo._MIN_PART_ROWS, SEED, snapshot_steps=(5,))
         assert len(children) == 2 and all(c.returncode is not None for c in children)
@@ -561,7 +563,7 @@ class TestSplitPass:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(montecarlo, "_evolve", interrupted)
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 2)
         with pytest.raises(KeyboardInterrupt):
             sample_paths(0.3, 10**5, self.REPS, SEED)
         assert len(children) == 1 and children[0].returncode == -signal.SIGKILL
@@ -573,23 +575,23 @@ class TestStagePass:
     # as two processes: the caller's walk, and a child's compensated sums
     @pytest.mark.parametrize("q", (-1.0, 0.6, 1.0))
     def test_stage_pass_is_bit_identical(self, monkeypatch, fresh_store, children, q):
-        # 37 rows make blocks of BLOCK_CELLS // 37 = 442 steps and uniform
+        # 37 rows make blocks of _BLOCK_CELLS // 37 = 442 steps and uniform
         # chunks of 1024; 2000 steps end in a partial block, and the
         # snapshots sit on and next to the edges of both
         reps, steps = 37, 2000
-        block = _split.BLOCK_CELLS // reps
+        block = montecarlo._BLOCK_CELLS // reps
         snaps = (1, 2, block - 1, block, block + 1, 2 * block, 1023, 1024, 1025, steps - 1, steps)
         assert steps % block and reps < montecarlo._MIN_PART_ROWS
         monkeypatch.setattr(montecarlo, "_MIN_STAGE_STEPS", steps)
         for kw in (dict(collect=("qsl", "lil", "doob"), snapshot_steps=snaps),
                    dict(snapshot_steps=snaps)):
             fresh_store()
-            monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+            monkeypatch.setattr(_stages, "usable_cpus", lambda: 2)
             staged = sample_paths(q, steps, reps, SEED, **kw)
             assert children[-1].returncode == 0
             assert set(staged.seconds) == {"fill", "steps", "collectors"}
             fresh_store()
-            monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
+            monkeypatch.setattr(_stages, "usable_cpus", lambda: 1)
             assert digest(sample_paths(q, steps, reps, SEED, **kw)) == digest(staged)
         assert len(children) == 2
         for i in (0, reps - 1):
@@ -605,7 +607,7 @@ class TestStagePass:
         probe = ("import sys\nfrom dihedral_erw import montecarlo\n"
                  "montecarlo.sample_paths(0.3, montecarlo._MIN_STAGE_STEPS - 1, 2, 0)\n"
                  "print(sorted(m for m in sys.modules\n"
-                 "             if m.startswith(('dihedral_erw._split', 'subprocess'))))")
+                 "             if m.startswith('subprocess')))")
         src = str(Path(dihedral_erw.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
@@ -622,11 +624,11 @@ class TestStagePass:
     ], ids=["exits-before-reading", "dies-mid-stream", "no-result", "floods-stderr"])
     def test_failed_stage_raises_and_stores_nothing(self, monkeypatch, fresh_store, children,
                                                     command, status):
-        monkeypatch.setattr(_split, "COMMAND", command)
+        monkeypatch.setattr(_stages, "COMMAND", command)
         monkeypatch.setattr(montecarlo, "_MIN_STAGE_STEPS", 1)
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
-        sent, send = [], _split._Child.send
-        monkeypatch.setattr(_split._Child, "send",
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 2)
+        sent, send = [], _stages.Child.send
+        monkeypatch.setattr(_stages.Child, "send",
                             lambda child, data: sent.append(send(child, data)) or sent[-1])
         with pytest.raises(RuntimeError, match=f"status {status} .*part failed"):
             sample_paths(0.3, 20_000, 100, SEED, collect=("doob",), snapshot_steps=(5,))
@@ -638,9 +640,9 @@ class TestStagePass:
     def test_interrupt_while_writing_leaves_no_child(self, monkeypatch, fresh_store, children):
         # the child reads nothing, so the caller blocks writing once the pipe
         # is full; an interrupt there leaves the child killed and reaped
-        monkeypatch.setattr(_split, "COMMAND", ("-c", "import time; time.sleep(60)"))
-        monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
-        writing, send = [], _split._Child.send
+        monkeypatch.setattr(_stages, "COMMAND", ("-c", "import time; time.sleep(60)"))
+        monkeypatch.setattr(_stages, "usable_cpus", lambda: 2)
+        writing, send = [], _stages.Child.send
 
         def tracked(child, data):
             writing.append(True)
@@ -651,7 +653,7 @@ class TestStagePass:
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(_split._Child, "send", tracked)
+        monkeypatch.setattr(_stages.Child, "send", tracked)
         previous = signal.signal(signal.SIGALRM, interrupt)
         try:
             signal.setitimer(signal.ITIMER_REAL, 1.0)
@@ -692,6 +694,13 @@ class TestKS:
     def test_unknown_alpha_refused(self):
         with pytest.raises(ValueError):
             ks_normal_test(np.zeros(200), alpha=0.2)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_samples_refused(self, bad):
+        x = replication_stream(4, 0).standard_normal(500)
+        x[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ks_normal_test(x)
 
 
 class TestQSL:
@@ -737,7 +746,6 @@ class TestSummaries:
             assert abs(mean - n) >= 10 * sd, (mean, n, sd)
 
 
-@pytest.mark.slow
 class TestLargeScaleExamples:
     def test_qv_over_n_band_at_large_horizon(self):
         # long-horizon check: <Xi>_n / n concentrates just below 1

@@ -9,6 +9,7 @@ not run; only ``__all__`` is read from the imported package.
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import dihedral_erw
@@ -55,3 +56,9 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     # an exception that gains a caller must leave DOCUMENTED, so the list stays exact
     stray = uncalled()
     assert stray == DOCUMENTED, f"no caller outside the tests: {sorted(stray)}; see tests/oracles.py"
+
+
+def test_no_public_name_is_a_module():
+    modules = [name for name in dihedral_erw.__all__
+               if isinstance(getattr(dihedral_erw, name), types.ModuleType)]
+    assert not modules, f"submodules in __all__: {modules}"
