@@ -15,6 +15,7 @@ variation of Xi is <Xi>_n = n - q^2 * sum_{k<n} W_k^2/k^2.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import index
 from struct import Struct
 from typing import NamedTuple
 
@@ -154,32 +155,63 @@ def reconstruct_w_from_s(s_path: Sequence[int]) -> int:
     return w
 
 
-class _StateChain(Sequence):
-    """Read-only CoupledStates, nine doubles each in one array("d"), which holds every field exactly."""
+_SPAN = 1024   # states between checkpoints; a read replays the one span that holds it
 
-    def __init__(self, fields):
-        self._fields = fields
+
+class _StateChain(Sequence):
+    """Read-only CoupledStates rebuilt from a checkpoint every _SPAN steps.
+
+    It keeps the letters as one str, q, and the state at the start of each
+    span.  A read replays its span through _steps into nine doubles a state
+    in one array("d"), which holds every field exactly, and the last span
+    replayed is kept: a read replays at most _SPAN steps, and reads in
+    order cost O(1) a state amortised.
+    """
+
+    def __init__(self, letters: str, q: float, checkpoints: list):
+        self._letters, self._q, self._checkpoints = letters, q, checkpoints
+        self._span = self._fields = None
 
     def __len__(self) -> int:
-        return len(self._fields) // 9
+        return len(self._letters)
+
+    def _replay(self, span: int):
+        """The packed states of one span (at most _SPAN), replayed unless it was the last read."""
+        if span != self._span:
+            from array import array  # here, so a process that reads no chain does not load it
+
+            lo = span * _SPAN
+            letters = self._letters[lo:lo + _SPAN]
+            fields = array("d", bytes(72 * len(letters)))
+            _steps(self._checkpoints[span], letters, self._q, fields, 72)
+            self._span, self._fields = span, fields
+        return self._fields
 
     def __getitem__(self, i: int) -> CoupledState:
-        k = range(0, len(self._fields), 9)[i]  # IndexError past either end
-        n, w, s, *rest = self._fields[k:k + 9]
+        k = range(len(self))[index(i)]  # TypeError for a slice, IndexError past either end
+        at = 9 * (k % _SPAN)
+        n, w, s, *rest = self._replay(k // _SPAN)[at:at + 9]
         return CoupledState(int(n), int(w), int(s), *rest)
 
     def __iter__(self):
-        n, w, s, *rest = (memoryview(self._fields)[j::9] for j in range(9))  # strided, not copied
-        return map(CoupledState._make, zip(map(int, n), map(int, w), map(int, s), *rest))
+        for span in range(len(self._checkpoints)):
+            packed = memoryview(self._replay(span))
+            n, w, s, *rest = (packed[j::9] for j in range(9))  # strided, not copied
+            yield from map(CoupledState._make, zip(map(int, n), map(int, w), map(int, s), *rest))
 
 
 def coupled_states_along(trace: WalkTrace) -> Sequence:
-    """Read-only sequence of the CoupledState after each step of a trace (n = 1..len)."""
-    from array import array  # here, so a process that builds no chain does not load it (72 KiB)
+    """Read-only sequence of the CoupledState after each step of a trace (n = 1..len).
 
-    fields = array("d", (0.0,)) * (9 * len(trace.letters))
-    _steps(CoupledState(), trace.letters, trace.params.q, fields, 72)
-    return _StateChain(fields)
+    The trace is stepped once here, where a bad letter raises, and later
+    reads replay a span of it; changing trace.letters afterwards changes no state.
+    """
+    letters, q = trace.letters, trace.params.q
+    state, checkpoints, last = CoupledState(), [], bytearray(72)
+    for lo in range(0, len(letters), _SPAN):
+        checkpoints.append(state)
+        state = _steps(state, letters[lo:lo + _SPAN], q, last, 0)
+    return _StateChain("".join(letters), q, checkpoints)
 
 
 def final_coupled_state(trace: WalkTrace) -> CoupledState:
@@ -188,9 +220,9 @@ def final_coupled_state(trace: WalkTrace) -> CoupledState:
 
 
 def verify_coupling(trace: WalkTrace) -> bool:
-    """True iff the encoded S-path equals the signed location at every step."""
+    """True iff there are n + 1 positions and the encoded S-path equals their signed locations."""
     s = 0
-    if signed_location(trace.positions[0]) != 0:
+    if len(trace.positions) != trace.n + 1 or signed_location(trace.positions[0]) != 0:
         return False
     for k, g in enumerate(trace.letters, start=1):
         s += encode_increment(k, g)

@@ -121,7 +121,8 @@ def sample_paths(
     """Evolve an ensemble of coupled-walk paths.
 
     collect may contain "qsl" (needs steps >= 2), "lil" (running max from
-    step LIL_START on, so needs steps >= LIL_START) and "doob"; terminal
+    step LIL_START on, so needs steps >= LIL_START) and "doob", and a bare
+    string names one collector; terminal
     values of W, S, Xi, Ztilde and QV are always recorded, as are
     S-snapshots at the requested steps.  A request that names any
     collector is a collector pass, and its result carries every collector
@@ -145,7 +146,7 @@ def sample_paths(
     q = float(q)
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [-1, 1], got {q}")
-    collect = set(collect)
+    collect = {collect} if isinstance(collect, str) else set(collect)
     bad = collect - {"qsl", "lil", "doob"}
     if bad:
         raise ValueError(f"unknown collectors: {sorted(bad)}")

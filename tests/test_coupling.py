@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -97,20 +96,23 @@ class TestAdvance:
             coupled_states_along(trace)
 
     def test_chain_memory_per_state(self):
-        # nine packed doubles are 72 B a state; a list of CoupledState
-        # tuples of boxed numbers took about 340 here
-        steps = 20_000
+        # a checkpoint every coupling._SPAN states, one byte a letter and one
+        # replayed span of nine packed doubles a state peak at about 3.5 B a
+        # state here; the array of every state took 72, a list of
+        # CoupledState tuples of boxed numbers about 340
+        steps = 100_000
         trace = simulate_walk(MemoryParams.from_q(0.5), steps, replication_stream(3, 0))
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             states = coupled_states_along(trace)
+            states[-1], states[steps // 2]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(states) == steps
-        assert (peak - before) / steps < 200
+        assert (peak - before) / steps < 8
 
     @pytest.mark.parametrize("q", (-1.0, 0.0, 0.5, 1.0))
     def test_final_state_is_the_chain_end(self, q):
@@ -118,9 +120,43 @@ class TestAdvance:
         assert repr(coupling.final_coupled_state(trace)) == repr(coupled_states_along(trace)[-1])
 
     def test_packed_states_keep_every_bit(self):
-        st = CoupledState(3, -1, 1, -0.0, 5e-324, -0.0, 1.0, -2.5, -0.0)
-        chain = coupling._StateChain(array("d", st * 2))
-        assert [repr(x) for x in chain] == [repr(chain[0]), repr(chain[-1])] == [repr(st)] * 2
+        # replayed from this checkpoint, the two states hold -0.0 and the
+        # smallest subnormal, which the packed doubles must keep
+        start = CoupledState(1, 0, 1, -0.0, -0.0, -0.0, 0.0, 5e-324, -0.0)
+        expect, st_ = [], start
+        for g in "ab":
+            st_ = coupling._steps(st_, g, 0.5, bytearray(72), 0)
+            expect.append(repr(st_))
+        assert "Ztilde=-0.0" in expect[0] and "5e-324" in expect[0] and "5e-324" in expect[1]
+        chain = coupling._StateChain("ab", 0.5, [start])
+        assert [repr(x) for x in chain] == [repr(chain[0]), repr(chain[-1])] == expect
+
+    @pytest.mark.parametrize("q", (-0.5, 0.8))
+    def test_random_access_matches_iteration(self, q):
+        # three full spans and five states of a fourth: every index, both
+        # signs, in an order that jumps between spans and across their edges
+        steps = 3 * coupling._SPAN + 5
+        trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(6, 0))
+        states = coupled_states_along(trace)
+        walked = [repr(st_) for st_ in states]
+        assert len(states) == len(walked) == steps
+        edges = [k for span in range(4) for k in (span * coupling._SPAN - 1, span * coupling._SPAN)]
+        for k in [*edges[1:], *range(steps - 1, -1, -1), *range(steps)]:
+            assert repr(states[k]) == walked[k]
+            assert repr(states[k - steps]) == walked[k]
+        for k in (steps, steps + coupling._SPAN, -steps - 1):
+            with pytest.raises(IndexError):
+                states[k]
+        with pytest.raises(TypeError, match="slice"):
+            states[1:3]
+
+    def test_chain_keeps_its_own_letters(self):
+        trace = simulate_walk(MemoryParams.from_q(0.3), coupling._SPAN + 10, replication_stream(7, 0))
+        states = coupled_states_along(trace)
+        before = [repr(st_) for st_ in states]
+        trace.letters[:] = ["b" if g == "a" else "a" for g in trace.letters]
+        assert [repr(states[k]) for k in range(len(states))] == before
+        assert [repr(st_) for st_ in states] == before
 
     def test_zero_memory_kills_corrections(self):
         params = MemoryParams.from_q(0.0)
@@ -251,6 +287,16 @@ class TestVerifyCoupling:
     def test_broken_trace_detected(self):
         trace = trace_from_letters(["a", "b", "a"])
         trace.positions[2] = GroupWord.from_letters("ab")  # wrong side
+        assert not verify_coupling(trace)
+
+    def test_extra_position_detected(self):
+        trace = trace_from_letters(PATH_LETTERS)
+        trace.positions.append(reduce_left_multiply("a", trace.positions[-1]))
+        assert not verify_coupling(trace)
+
+    def test_missing_position_detected(self):
+        trace = trace_from_letters(PATH_LETTERS)
+        del trace.positions[-1]
         assert not verify_coupling(trace)
 
     def test_exhaustive_every_depth_and_far(self):

@@ -339,6 +339,14 @@ class TestEngine:
         with pytest.raises(ValueError):                 # log 1 = 0, as in qsl_statistic
             sample_paths(0.3, 1, 3, 1, collect=("qsl",))
 
+    def test_a_bare_string_names_one_collector(self, fresh_store):
+        by_name = sample_paths(0.3, 200, 10, 1, collect="doob")
+        fresh_store()
+        by_tuple = sample_paths(0.3, 200, 10, 1, collect=("doob",))
+        for key in ("W", "S", "Xi", "Ztilde", "QV", "qsl_sum", "lil_pos", "lil_neg",
+                    "doob_resid_max", "qv_resid_max"):
+            assert np.array_equal(getattr(by_name, key), getattr(by_tuple, key)), key
+
     def test_integral_steps_and_reps(self, fresh_store):
         expect = sample_paths(0.5, 100, 3, 1)
         for steps, reps in ((100.0, 3), (100, 3.0), (np.int64(100), np.int64(3))):
