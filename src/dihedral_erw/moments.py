@@ -7,11 +7,14 @@ conditional-variance recursion
 
 which is taken as the defining computation.  _recurrence, the one block loop,
 solves it and the recursion for G_k = E[Ztilde_k W_k] in var_ztilde_exact,
-by cumulative products and sums over blocks of k.  The closed form
+by cumulative products and sums over blocks of k.  _h_blocks hands H on a
+block at a time, so the exact sums hold a few blocks at any horizon, and
+only h_moment_table and MomentTable hold tables of length n.  The closed form
 H = k/(2q - 1) ((2q)_k/k! - 1) costs O(k) per value and needs a separate
 limit at q = 1/2, so it is only a cross-check, kept with the tests in
-tests/oracles.py.  The gamma ratios, the I column of MomentTable, come
-from quadrature.i_factor_table, which holds the package's one gamma value.
+tests/oracles.py.  The gamma ratios, the I column of MomentTable and of t2,
+come from quadrature.i_factor_table, which holds the package's one gamma
+value, and its running product i_factor_block.
 
 enumerate_exact is the independent oracle for all of these: W is a Markov
 chain on the a-count and S, Ztilde are additive functionals of its path,
@@ -23,19 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .coupling import encode_increment, exhaustive_coupling_check
 from .group import MemoryParams, _check_int, _check_q, step_prob_a
-from .quadrature import gauss_2f1, i_factor_table
+from .quadrature import gauss_2f1, i_factor_block, i_factor_table
 
 
 def h_moment(k: int, q: float) -> float:
     """E[W_k^2] by the defining recursion."""
-    k = _check_int(k, "k")
-    return float(h_moment_table(k, q)[k])
+    k, q = _check_int(k, "k"), _check_q(q)
+    for _, h in _h_blocks(k, q):
+        pass
+    return float(h[-1])
 
 
 _BLOCK = 4096
@@ -61,20 +67,31 @@ def _recurrence(coeffs, x: float, k_first: int, n: int):
         x = xs[-1]
 
 
-def h_moment_table(n: int, q: float) -> np.ndarray:
-    """Array of H(k, q) for k = 1..n (index 0 unused, set to nan).
+def _h_blocks(n: int, q: float):
+    """(k, H(k, q)) for k = 1..n, one array of consecutive k at a time, each k once.
 
     H(k+1) = a_k H(k) + 1 with a_k = 1 + 2q/k.  a_1 = 1 + 2q and a_2 = 1 + q
     can be zero or negative, so H(2) and H(3) come one step at a time, and
     _recurrence solves the rest, where every a_k is positive.
     """
+    h = [1.0]
+    for k in range(1, min(n, 3)):
+        h.append((1.0 + (2.0 * q) / k) * h[-1] + 1.0)
+    lead = h  # H(1) .. H(3) go out with the first block: one array up to n = 4099
+    for k, xs in _recurrence(lambda k: (1.0 + (2.0 * q) / k, 1.0), h[-1], 3, n):
+        yield np.arange(k[0] + 1.0 - len(lead), k[-1] + 2.0), np.concatenate((lead, xs[1:]))
+        lead = []
+    if lead:
+        yield np.arange(1.0, len(lead) + 1), np.array(lead)
+
+
+def h_moment_table(n: int, q: float) -> np.ndarray:
+    """Array of H(k, q) for k = 1..n (index 0 unused, set to nan), from _h_blocks."""
     n, q = _check_int(n, "n"), _check_q(q)
     out = np.empty(n + 1)
-    out[0], out[1] = np.nan, 1.0
-    for k in range(1, min(n, 3)):
-        out[k + 1] = (1.0 + (2.0 * q) / k) * out[k] + 1.0
-    for k, h in _recurrence(lambda k: (1.0 + (2.0 * q) / k, 1.0), out[min(n, 3)], 3, n):
-        out[int(k[0]):int(k[-1]) + 2] = h
+    out[0] = np.nan
+    for k, h in _h_blocks(n, q):
+        out[int(k[0]):int(k[-1]) + 1] = h
     return out
 
 
@@ -91,27 +108,38 @@ def var_ztilde_exact(n: int, q: float) -> float:
         t_k + t_{k+1} = 2 (-1)^k (1-q) G_k/(k (k+1)) + ((1-2q) H_k/k^2 + 1)/(k+1)^2,
 
     beside t_1 = 1 (odd n) or t_1 + t_2 = (1 - q)/2 (even n).  G starts at G_2 = -(1 + q), as
-    a_1 = 1 + q vanishes at q = -1; pairs are summed per block of G, never over a whole G array.
+    a_1 = 1 + q vanishes at q = -1.  Pairs are summed per block of G, whose H comes from
+    _h_blocks through a window of at most two of its arrays, so memory does not grow with n.
     """
     n, q = _check_int(n, "n"), _check_q(q)
-    h = h_moment_table(n, q)
     odd = n % 2
     sign = 1.0 if odd else -1.0  # (-1)^k at every pair's first k
     first = slice(1 - odd, None, 2)  # k = n - 1, n - 3, ...; every block starts at an even k
+    blocks = _h_blocks(n, q)
+    start, held = 1, next(blocks)[1]  # H_k for k = start, start + 1, ...
+
+    def h_at(k):  # G blocks start at k = 2 + 4096 j, H arrays at 1 and 4100 + 4096 j
+        nonlocal start, held
+        lo = int(k[0]) - start
+        while len(held) < lo + len(k):
+            held, start, lo = np.concatenate((held[lo:], next(blocks)[1])), int(k[0]), 0
+        return held[lo:lo + len(k)]
 
     def coeffs(k):
         a = 1.0 + q / k
-        b = a * (h[int(k[0]):int(k[-1]) + 1] / k)
+        b = a * (h_at(k) / k)
         b[1::2] *= -1.0  # (-1)^k, k[0] even; sign flips are exact
         return a, b
 
-    sums = [1.0 if odd else (1.0 - q) / 2.0]
-    for k, g in _recurrence(coeffs, -(1.0 + q), 2, n):
-        kp, hp, gp = k[first], h[int(k[0]):int(k[-1]) + 1][first], g[:-1][first]
-        pairs = (sign * 2.0 * (1.0 - q) * gp / (kp * (kp + 1.0))
-                 + ((1.0 - 2.0 * q) * hp / kp**2 + 1.0) / (kp + 1.0) ** 2)
-        sums.append(float(np.sum(pairs)))
-    return math.fsum(sums)
+    def pair_sums():
+        yield 1.0 if odd else (1.0 - q) / 2.0
+        for k, g in _recurrence(coeffs, -(1.0 + q), 2, n):
+            kp, hp, gp = k[first], h_at(k)[first], g[:-1][first]
+            pairs = (sign * 2.0 * (1.0 - q) * gp / (kp * (kp + 1.0))
+                     + ((1.0 - 2.0 * q) * hp / kp**2 + 1.0) / (kp + 1.0) ** 2)
+            yield float(np.sum(pairs))
+
+    return math.fsum(pair_sums())
 
 
 def t1(n: int, q: float) -> float:
@@ -120,31 +148,43 @@ def t1(n: int, q: float) -> float:
     a_k carries I(k, q) and J1 a beta factor B(k+q, 2-q); their product is
     (1-q)/(k+1), so each term is H(k, q)/k^2 * (1-q)/(k+1) times the Gauss
     factor of J1.  This form has no pole: at k = 1, q = -1 the term is 1.
-    The n Gauss factors come from one array call of gauss_2f1.
+    The terms are formed an array of _h_blocks at a time, each with one array call
+    of gauss_2f1, and fsum, correctly rounded, adds them as they come.
     """
     n, q = _check_int(n, "n"), _check_q(q)
-    h = h_moment_table(n, q)
-    k = np.arange(1, n + 1, dtype=float)
-    gauss = gauss_2f1(1.0, k + q, k + 2.0, -1.0)
-    return math.fsum((h[1:] / k**2 * (1.0 - q) / (k + 1) * gauss).tolist())
+    return math.fsum(chain.from_iterable(
+        (h / k**2 * (1.0 - q) / (k + 1) * gauss_2f1(1.0, k + q, k + 2.0, -1.0)).tolist()
+        for k, h in _h_blocks(n, q)))
 
 
 def t2(n: int, q: float) -> float:
     """Second variance term: J2(n, q) times the alternating sum of a_k, k <= n.
 
-    J2(n, q) = 2F1(1, n+q+1; n+2; -1) / I(n+1, q) as in quadrature.j2; one
-    table to n + 1 gives I(n+1) and the a_k.  fsum adds the cancelling sum exactly.
+    J2(n, q) = 2F1(1, n+q+1; n+2; -1) / I(n+1, q) as in quadrature.j2.  The a_k = H_k I_k/k^2
+    are formed an array of _h_blocks at a time, with I from one running product over the
+    same arrays that ends one step later, at I(n+1); fsum adds the cancelling sum exactly.
     """
     n, q = _check_int(n, "n"), _check_q(q)
-    table = MomentTable.build(n + 1, q)
-    signed = table.a[:n]
-    signed[-2::-2] *= -1.0          # (-1)^(n-k) a_k; sign flips are exact
-    j2 = gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0) / float(table.I[n])
-    return j2 * math.fsum(signed)  # not tolist: n boxed floats at once cost 3 MiB of RSS at n = 1e5
+    i2, carry = float(i_factor_table(2, q)[2]), 1.0  # the one gamma value
+
+    def terms():
+        nonlocal carry
+        for k, h in _h_blocks(n, q):
+            i, carry = i_factor_block(k, q, i2, carry)
+            a = h * i / k**2
+            a[(n + 1 - int(k[0])) % 2::2] *= -1.0  # (-1)^(n-k) a_k; sign flips are exact
+            yield a.tolist()
+
+    total = math.fsum(chain.from_iterable(terms()))
+    i_next, _ = i_factor_block(np.array([n + 1.0]), q, i2, carry)
+    return gauss_2f1(1.0, n + q + 1.0, n + 2.0, -1.0) / float(i_next[0]) * total
 
 
 def r_norm(n: float, p: float) -> float:
-    """Scale of |W_n|: sqrt(n) below p = 3/4, sqrt(n/log n) at it (n > 1), n^(2(1-p)) above."""
+    """n over the scale of |W_n|: sqrt(n) below p = 3/4, sqrt(n/log n) at it (n > 1), n^(2(1-p)) above.
+
+    |W_n| grows like sqrt(n), sqrt(n log n) and n^(2p-1) there, so H(n, 2p - 1) r_n^2/n^2 stays bounded.
+    """
     if not n >= 1:                      # NaN included
         raise ValueError("n must be at least 1")
     if not 0.0 <= p < 1.0:

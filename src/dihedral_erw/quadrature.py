@@ -172,24 +172,36 @@ def var_z_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
 def i_factor_table(n: int, q: float) -> np.ndarray:
     """Normaliser I(k, q) = Gamma(k+1) / (Gamma(k+q) Gamma(1-q)) for k = 1..n (index 0 is nan).
 
-    A running product I(k+1) = I(k) (k+1)/(k+q), anchored at I(2) = 2/(Gamma(2+q) Gamma(1-q)),
-    whose gammas have no pole for q in [-1, 1).  I(1) = I(2) (1+q)/2 is then
-    exactly 0 at q = -1, the pole of Gamma(k+q).  The product keeps I within 1e-11 of the 40-digit
+    The gamma value I(2) = 2/(Gamma(2+q) Gamma(1-q)) has no pole for q in [-1, 1), and
+    i_factor_block runs the product from it.  The product keeps I within 1e-11 of the 40-digit
     value for k <= 1e5; exp of a log-gamma difference was 1.5e-10 off there.
     """
     n, q = _check_int(n, "n"), _check_q(q)
     out = np.empty(n + 1)
     out[0] = np.nan
-    if q == 0.0:
-        out[1:] = np.arange(1, n + 1)  # Gamma(k+1)/Gamma(k), exactly
-        return out
     i2 = 2.0 * math.exp(-math.lgamma(2.0 + q) - math.lgamma(1.0 - q))
-    out[1] = i2 * (1.0 + q) / 2.0
-    if n >= 2:
-        k = np.arange(2, n, dtype=float)
-        out[2] = i2
-        out[3:] = i2 * np.cumprod((k + 1.0) / (k + q))
+    out[1:], _ = i_factor_block(np.arange(1.0, n + 1), q, i2, 1.0)
     return out
+
+
+def i_factor_block(k: np.ndarray, q: float, i2: float, carry: float):
+    """I(k, q) over an array of consecutive k, and the carry that the next array takes.
+
+    I(1) = I(2) (1+q)/2, exactly 0 at q = -1, the pole of Gamma(k+q), and I(2) = i2 is
+    i_factor_table's gamma value.  From there I(k) = I(k-1) k/(k-1+q) is one running product:
+    carry is I(k)/I(2) at the k before the array (1.0 up to k = 2), and a cumprod over
+    [carry r_0, r_1, ...] makes the multiplications of one cumprod over every k, so no value
+    depends on how k is cut into arrays.  At q = 0, I(k) = k exactly.
+    """
+    if q == 0.0:
+        return k + 0.0, carry  # Gamma(k+1)/Gamma(k)
+    low = (i2 * (1.0 + q) / 2.0, i2)[int(k[0]) - 1:][:len(k)]  # I(1), I(2) where k has them
+    r = k[len(low):] / ((k[len(low):] - 1.0) + q)
+    if len(r):
+        r[0] *= carry
+        r = np.cumprod(r)
+        carry = float(r[-1])
+    return np.concatenate((low, i2 * r)), carry
 
 
 def j1(k: int, q: float) -> float:

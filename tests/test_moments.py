@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -231,10 +232,79 @@ class TestBlockEdgeBits:
         assert hashlib.sha256(h_moment_table(12291, q).tobytes()).hexdigest() == h_sha
 
 
+class TestSumBits:
+    """T1 and T2 across the block edges and at 1e5, pinned bit for bit.
+
+    H blocks end at k = 4099 and 8195, and T2's I(n+1) runs one step past them.
+    The values were computed while both sums still read whole n-sized tables.
+    """
+
+    N = (4097, 4098, 4099, 8195, 100_000)
+    GOLDEN = (
+        (-1.0, ('0x1.23dde872d2309p+0', '0x1.23dde8c814de1p+0', '0x1.23dde91d4ce56p+0',
+                '0x1.23e092f8275b9p+0', '0x1.23e30570fdecep+0'),
+         ('0x1.5555535595532p-16', '0x1.55000f53004f0p-16', '0x1.552aae0055189p-16',
+          '0x1.554000d56000cp-17', '0x1.bf622baa96645p-21')),
+        (-0.5, ('0x1.cd4249477b599p-1', '0x1.cd424a074e610p-1', '0x1.cd424ac709732p-1',
+                '0x1.cd4848e17df22p-1', '0x1.cd4dca6b6c4fbp-1'),
+         ('0x1.0544835b7c575p-15', '0x1.f4f809b75d8f7p-16', '0x1.05238c3d2825fp-15',
+          '0x1.03ae62fb82bf5p-16', '0x1.4e1eaa39f5ea7p-20')),
+        (0.0, ('0x1.62d4316f83a0ep-1', '0x1.62d4326f43ac6p-1', '0x1.62d4336ee3c6dp-1',
+               '0x1.62dc30cf8ba12p-1', '0x1.62e3882a2e514p-1'),
+         ('0x1.ffd003ffb8040p-14', '0x0.0p+0', '0x1.ff9017faf907ep-14',
+          '0x1.ffc805ff5f108p-15', '0x0.0p+0')),
+        (0.3, ('0x1.2646ca47f5755p-1', '0x1.2646cbfcb8387p-1', '0x1.2646cdb144b45p-1',
+               '0x1.26547c7a43244p-1', '0x1.266127fc41708p-1'),
+         ('0x1.f9c71395cacf6p-11', '-0x1.5da2ff6ca3a20p-11', '0x1.f998078cf4218p-11',
+          '0x1.2e8bcd7f40488p-11', '-0x1.53965663a8817p-14')),
+        (0.5, ('0x1.f9ffa0a219eb1p-2', '0x1.f9ffa98502fe4p-2', '0x1.f9ffb266dfeb7p-2',
+               '0x1.fa49385e0c130p-2', '0x1.fa95501160384p-2'),
+         ('0x1.41a064824b77fp-8', '-0x1.f4ec5ae768435p-9', '0x1.418a95c7c9a53p-8',
+          '0x1.bae0ea062f174p-9', '-0x1.bf670a6401933p-11')),
+        (0.8, ('0x1.617e97b2713e6p-2', '0x1.617f04a98ed68p-2', '0x1.617f71972bdddp-2',
+               '0x1.659fc2563ed3cp-2', '0x1.6dd179dd586d9p-2'),
+         ('0x1.13882fc357bb8p-4', '-0x1.16788a15df0dbp-5', '0x1.137fa1930b6b5p-4',
+          '0x1.d0933fdeff1efp-5', '-0x1.698a54df4296bp-6')),
+    )
+
+    @pytest.mark.parametrize("q, t1_hex, t2_hex", GOLDEN, ids=[str(row[0]) for row in GOLDEN])
+    def test_golden_bits(self, q, t1_hex, t2_hex):
+        assert tuple(t1(n, q).hex() for n in self.N) == t1_hex
+        assert tuple(t2(n, q).hex() for n in self.N) == t2_hex
+
+
+class TestBoundedMemory:
+    """The exact sums hold a few blocks of values, not tables as long as the horizon.
+
+    Whole tables took a traced peak of 7.9 MiB for var_ztilde_exact(1e6) (the H
+    table alone is 7.6 MiB) and 3.8 MiB for t2(1e5).
+    """
+
+    BOUND = 2 * 2**20  # bytes of traced peak
+
+    @pytest.mark.parametrize("f, n", ((var_ztilde_exact, 10**6), (h_moment, 10**6),
+                                      (t1, 10**5), (t2, 10**5)),
+                             ids=("var_ztilde_exact", "h_moment", "t1", "t2"))
+    @pytest.mark.parametrize("q", (-0.5, 0.0, 0.8))
+    def test_traced_peak(self, f, n, q):
+        f(10, q)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            f(n, q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < self.BOUND, f"{peak / 2**20:.2f} MiB"
+
+
 class TestHorizonDomain:
     def test_exact_sums_reject_empty_horizon(self):
-        # the check lives in h_moment_table, which each sum calls first; t2 keeps its own,
-        # since its table runs to n + 1
+        # each sum checks n itself before it starts the H stream, which has no check of its own
         for f in (var_ztilde_exact, var_ztilde_double_sum, t1, t2):
             with pytest.raises(ValueError, match=r"^n must be at least 1$"):
                 f(0, 0.3)
@@ -281,22 +351,29 @@ class TestT1T2:
             assert t2(n, q) == j2(n, q) * math.fsum(signed.tolist()), q
 
     def test_t2_builds_one_i_table(self, monkeypatch):
+        # one gamma value (two lgamma calls) and one running product, over k = 3..n+1
         from dihedral_erw import moments, quadrature
 
-        calls = []
-        original = moments.i_factor_table
+        lgammas, products = [], []
+        lgamma, block = math.lgamma, quadrature.i_factor_block
 
-        def counted(n, q):
-            calls.append(n)
-            return original(n, q)
+        def counted_lgamma(x):
+            lgammas.append(x)
+            return lgamma(x)
 
+        def counted_block(k, q, i2, carry):
+            products.append(int(np.count_nonzero(k >= 3.0)))
+            return block(k, q, i2, carry)
+
+        monkeypatch.setattr(math, "lgamma", counted_lgamma)
         for module in (moments, quadrature):
-            if hasattr(module, "i_factor_table"):
-                monkeypatch.setattr(module, "i_factor_table", counted)
-        for n, q in ((1, -1.0), (50, 0.3), (5000, 0.8)):
-            calls.clear()
+            monkeypatch.setattr(module, "i_factor_block", counted_block)
+        for n, q in ((1, -1.0), (50, 0.3), (5000, 0.8), (100_000, -0.5)):
+            lgammas.clear()
+            products.clear()
             t2(n, q)
-            assert calls == [n + 1], (n, q)
+            assert len(lgammas) == 2, (n, q)
+            assert sum(products) == n - 1, (n, q)
 
     def test_t2_vanishes_at_even_horizons_without_memory(self):
         # a_k = 1 identically at q = 0, so the alternating sum telescopes
@@ -479,7 +556,9 @@ class TestMomentTable:
             assert ratios.max() / ratios.min() < 3.0
 
     def test_variance_envelope_bounded(self):
-        # H(n, q) r_n^2 / n^2 stays bounded in n for each memory parameter
+        # H(n, q) r_n^2 / n^2 stays bounded in n, above and below, for each memory parameter:
+        # r_n is n over the scale of |W_n|, and the ratio tends to 1/(1 - 2q) below p = 3/4,
+        # to 1 at it and to 1/((2q - 1) Gamma(2q)) above
         for p in (0.3, 0.5, 0.75, 0.9):
             q = 2 * p - 1
             h = h_moment_table(1_000_000, q)
@@ -487,3 +566,4 @@ class TestMomentTable:
             vals = np.array([h[n] * r_norm(n, p) ** 2 / n**2 for n in ns])
             assert np.all(np.isfinite(vals))
             assert vals.max() < 10.0
+            assert vals.min() > 0.1

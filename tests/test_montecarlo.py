@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -702,6 +703,37 @@ class TestKS:
     def test_unknown_alpha_refused(self):
         with pytest.raises(ValueError):
             ks_normal_test(np.zeros(200), alpha=0.2)
+
+    @staticmethod
+    def kolmogorov_critical(alpha):
+        """c with P(K > c) = alpha, K Kolmogorov: 2 sum_k (-1)^(k-1) exp(-2 k^2 c^2) = alpha."""
+        def tail(x):
+            return 2.0 * math.fsum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
+                                   for k in range(1, 101))
+
+        lo, hi = 0.5, 3.0  # the tail falls from 0.96 to 3e-8 over [lo, hi]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if tail(mid) > alpha else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("alpha", sorted(montecarlo.KS_CRITICAL))
+    def test_threshold_is_the_kolmogorov_quantile(self, alpha):
+        c = self.kolmogorov_critical(alpha)
+        assert abs(montecarlo.KS_CRITICAL[alpha] - c) < 5e-4, c
+        for r in (100, 1000, 10_000):
+            res = ks_normal_test(replication_stream(4, 0).standard_normal(r), alpha=alpha)
+            assert res.threshold == pytest.approx(c / math.sqrt(r), abs=5e-4 / math.sqrt(r))
+
+    def test_statistic_against_normal_dist(self):
+        # the distance of the empirical CDF from N(0, 1), each side of every jump, in plain Python
+        x = sorted(replication_stream(7, 0).standard_normal(1000).tolist())
+        cdf = statistics.NormalDist().cdf
+        r = len(x)
+        want = max(max((i + 1) / r - cdf(v), cdf(v) - i / r) for i, v in enumerate(x))
+        res = ks_normal_test(x)
+        assert res.statistic == pytest.approx(want, abs=1e-12)
+        assert res.passed == (res.statistic < res.threshold)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_non_finite_samples_refused(self, bad):
