@@ -46,7 +46,6 @@ from .quadrature import (
     figure_grid,
     gauss_2f1,
     integrate,
-    phi_integrand,
     var_z_infinity,
     var_ztilde_infinity,
 )

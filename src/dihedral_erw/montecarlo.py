@@ -503,6 +503,6 @@ def t2_rate_fit(q: float, n_list: Sequence[int]) -> SlopeFit:
         logs.append(math.log(abs(val)))
     if len(kept) < 2:
         raise ValueError(f"too few usable points after dropping {dropped}")
-    slope = np.polyfit(kept, logs, 1)[0]
-    theoretical = q - 1.0 if q > 0.0 else -1.0
-    return SlopeFit(fitted_slope=float(slope), theoretical_slope=theoretical, dropped=tuple(dropped))
+    mx = math.fsum(kept) / len(kept)  # the centred least-squares slope, each sum exact
+    slope = math.fsum((x - mx) * y for x, y in zip(kept, logs)) / math.fsum((x - mx) ** 2 for x in kept)
+    return SlopeFit(slope, q - 1.0 if q > 0.0 else -1.0, tuple(dropped))

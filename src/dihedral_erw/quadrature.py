@@ -8,7 +8,9 @@ and no node ever lands on 0 or 1.
 
 Integrands receive both u and 1-u.  The node map computes the two
 coordinates separately through exp, so each is accurate in its own scale
-even when the other has rounded to 1.
+even when the other has rounded to 1.  One engine, _tanh_sinh, integrates
+a batch of integrands (a grid of q, or integrate's one scalar integrand)
+level by level over shared nodes.
 
 The kernels J1 and J2 of the T1 + 2 T2 split are Euler integrals of the
 Gauss function (DLMF 15.6.1), so they are evaluated in closed form: a beta
@@ -32,7 +34,9 @@ from .group import _check_int, _check_q
 DEFAULT_TOL = 1e-10
 _T_MAX = 6.0  # exp(pi*sinh(6)) stays inside double range
 _MAX_LEVEL = 12
+_SLAB_CELLS = 1 << 12  # integrand values per slab of _tanh_sinh
 _SERIES_TOL = 1e-15  # gauss_2f1 stops at the first term <= this times max(1, |sum|)
+_SERIES_TERMS = 10_000
 
 
 class QuadratureError(RuntimeError):
@@ -81,52 +85,73 @@ def integrate(f: Callable[[float, float], float], tol: float = DEFAULT_TOL) -> Q
     Nodes stop at |t| = _T_MAX, where u, 1-u and the weight (about 4e-273)
     are still positive.
     """
+    return _one(lambda u, um1: lambda rows: [list(map(f, u, um1))], tol)  # one row, f node by node
+
+
+def _one(integrand, tol: float) -> QuadratureResult:
+    res = _tanh_sinh(integrand, 1, tol)[0]
+    if isinstance(res, QuadratureError):
+        raise res
+    return res
+
+
+def _tanh_sinh(integrand, n_rows: int, tol: float) -> list:
+    """The tanh-sinh rule for n_rows integrals at once, one refinement level at a time.
+
+    integrand(u, um1) takes a level's nodes, as sequences in summation order, and returns a
+    function from an array of row indices to those rows' integrand values (rows x nodes).
+    Rows are evaluated in slabs of about _SLAB_CELLS values.  Each row stops on its own,
+    by integrate's rule, and gets a QuadratureResult or the QuadratureError it failed with.
+    Every row sums in node order, f(0) and then the pairs f(jh) + f(-jh) one after the
+    other, and math's own functions make the nodes, so the floats do not depend on the
+    batch.
+    """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-
+    out = [None] * n_rows
+    # level 0 has no earlier value and level 1 no earlier difference, so level 2 is the earliest accepted
+    live, prev, err = np.arange(n_rows), None, np.full(n_rows, np.nan)
     evals = 0
-
-    def call(t: float) -> float:
-        nonlocal evals
-        u, um1, w = _node(t)
-        evals += 1
-        val = w * f(u, um1)
-        if math.isnan(val) or math.isinf(val):
-            raise QuadratureError(f"integrand not finite at u={u!r}")
-        return val
-
-    h = 1.0
-    total = call(0.0)
-    j = 1
-    while j * h <= _T_MAX:
-        total += call(j * h) + call(-j * h)
-        j += 1
-    value = h * total
-    prev = value
-    err = math.nan  # level 1 has no earlier difference, so level 2 is the earliest accepted
-
-    for level in range(1, _MAX_LEVEL + 1):
-        prev_err = err
-        h *= 0.5
-        odd_sum = 0.0
-        j = 1
-        while j * h <= _T_MAX:
-            odd_sum += call(j * h) + call(-j * h)
-            j += 2
-        value = 0.5 * prev + h * odd_sum
-        err = abs(value - prev)
-        prev = value
-        if err <= tol and prev_err <= tol:
-            return QuadratureResult(value, err, evals, level)
-
-    raise QuadratureError(
-        f"no convergence to tol={tol} after {_MAX_LEVEL} refinement levels "
-        f"(last level difference {err:.3e})"
-    )
+    for level in range(_MAX_LEVEL + 1):
+        if not len(live):
+            break
+        h = 0.5 ** level
+        t = [s * j * h for j in range(1, int(_T_MAX / h) + 1, 2 if level else 1) for s in (1, -1)]
+        u, um1, w = zip(*map(_node, [0.0] * (level == 0) + t))
+        evals += len(u)
+        rows_of, w = integrand(u, um1), np.array(w)
+        slab = max(1, _SLAB_CELLS // len(u))
+        total, ok = np.empty(len(live)), np.ones(len(live), dtype=bool)
+        for lo in range(0, len(live), slab):
+            vals = w * np.asarray(rows_of(live[lo:lo + slab]), dtype=float)
+            bad = ~np.isfinite(vals)
+            for i in np.flatnonzero(bad.any(axis=1)):  # the first bad node in summation order
+                ok[lo + i] = False
+                out[live[lo + i]] = QuadratureError(f"integrand not finite at u={u[bad[i].argmax()]!r}")
+            k = 1 if level == 0 else 0  # f(0) leads level 0; a finer level's sum starts from 0.0
+            start = vals[:, :1] if k else np.zeros((len(vals), 1))
+            pairs = vals[:, k::2] + vals[:, k + 1::2]  # f(jh) + f(-jh)
+            total[lo:lo + slab] = np.add.accumulate(np.hstack((start, pairs)), axis=1)[:, -1]
+        value = 0.5 * prev + h * total if level else total
+        new_err = np.abs(value - prev) if level else err
+        done = ok & (new_err <= tol) & (err <= tol)
+        for i in np.flatnonzero(done):
+            out[live[i]] = QuadratureResult(float(value[i]), float(new_err[i]), evals, level)
+        keep = ok & ~done
+        live, prev, err = live[keep], value[keep], new_err[keep]
+    for r, e in zip(live, err):
+        out[r] = QuadratureError(f"no convergence to tol={tol} after {_MAX_LEVEL} refinement levels "
+                                 f"(last level difference {e:.3e})")
+    return out
 
 
-def phi_integrand(q: float, u: float, um1: float = None) -> float:
-    """Integrand of the limiting Ztilde variance at memory parameter q.
+def _expm1(x: np.ndarray) -> np.ndarray:
+    """math.expm1 elementwise: numpy's vector expm1 can differ from it in the last bit."""
+    return np.fromiter(map(math.expm1, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _phi_level(qs):
+    """The level builder of _tanh_sinh for the limit-variance integrand at each q of qs.
 
     General branch (q != 1/2):
         (1/(2q-1)) * (u^(1-2q) - 1)/(1 - u) * ((1 - u/2)^(q-1) - 1)/u
@@ -135,29 +160,31 @@ def phi_integrand(q: float, u: float, um1: float = None) -> float:
 
     Both difference quotients are formed with expm1/log1p so the 0/0
     shapes at the endpoints cancel without a series switch; the limits are
-    (q-1)/(2(2q-1)) at u = 0 (for q < 1/2) and 2^(1-q) - 1 at u = 1.
+    (q-1)/(2(2q-1)) at u = 0 (for q < 1/2) and 2^(1-q) - 1 at u = 1.  A
+    level's q-free factors, log u (log1p(-(1-u)) above 1/2) and log1p(-u/2),
+    are formed once; each slab then makes the operations of the scalar form
+    (tests/oracles.phi_integrand) in its order, elementwise over rows x nodes.
     """
-    q = _check_q(q)
-    if um1 is None:
-        um1 = 1.0 - u
-    # u and um1 are validated separately: near an endpoint one of them may
-    # round to 1.0 while the other still resolves the distance to it
-    if not (0.0 < u <= 1.0 and 0.0 < um1 <= 1.0):
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
+    q = np.asarray(qs, dtype=float)[:, None]
 
-    log_u = math.log1p(-um1) if u > 0.5 else math.log(u)
-    second = math.expm1((q - 1.0) * math.log1p(-0.5 * u)) / u
-    if q == 0.5:
-        first = -log_u / um1
-        return first * second
-    first = math.expm1((1.0 - 2.0 * q) * log_u) / um1
-    return first * second / (2.0 * q - 1.0)
+    def level(u, um1):
+        log_u = np.array([math.log1p(-b) if a > 0.5 else math.log(a) for a, b in zip(u, um1)])
+        log_half = np.array([math.log1p(-0.5 * a) for a in u])
+        u, um1 = np.array(u), np.array(um1)
+        lead = -log_u / um1  # the log branch's first factor
+
+        def rows(idx):
+            qr, half = q[idx], q[idx] == 0.5
+            second = _expm1((qr - 1.0) * log_half) / u
+            first = np.where(half, lead, _expm1((1.0 - 2.0 * qr) * log_u) / um1)
+            return first * second / np.where(half, 1.0, 2.0 * qr - 1.0)
+        return rows
+    return level
 
 
 def var_ztilde_infinity_result(q: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Limit variance of the alternating series Ztilde, with error estimate."""
-    q = _check_q(q)
-    return integrate(lambda u, um1: phi_integrand(q, u, um1), tol=tol)
+    return _one(_phi_level([_check_q(q)]), tol)
 
 
 def var_ztilde_infinity(q: float, tol: float = DEFAULT_TOL) -> float:
@@ -238,34 +265,50 @@ def gauss_2f1(a: float, b: float | np.ndarray, c: float | np.ndarray,
     alternating series at z = -1 into a geometrically convergent one.
 
     b and c may be arrays (broadcast together); the result is then an
-    array, each element equal to the float the scalar call returns.
+    array, each element equal to the float the scalar call returns.  A
+    scalar call sums in Python floats, with the same operations.
     """
     b, c = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
     if np.any((c <= 0.0) & (c == np.floor(c))):
         raise ValueError(f"c must not be a nonpositive integer, got {c}")
     if not (-1.0 <= z < 1.0):
         raise ValueError(f"need -1 <= z < 1, got {z}")
+    if b.ndim == 0:
+        b, c = float(b), float(c)
     if z < 0.0:
         out = (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, z / (z - 1.0))
     else:
         out = _hyp_series(a, b, c, z)
-    return float(out) if out.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _hyp_series(a: float, b: np.ndarray, c: np.ndarray, z: float) -> np.ndarray:
-    """Sum the series elementwise; each element stops at its own first small term."""
-    total = np.ones(b.shape)
-    term = np.ones(b.shape)
-    live = np.ones(b.shape, dtype=bool)  # elements still summing
-    for n in range(10_000):
-        t = term[live] * ((a + n) * (b[live] + n) / ((c[live] + n) * (n + 1.0)) * z)
-        s = total[live] + t
-        term[live], total[live] = t, s
-        # a nan term never counts as small; fmax, like max, passes over a nan total
-        live[live] = ~(np.abs(t) <= _SERIES_TOL * np.fmax(1.0, np.abs(s)))
-        if not live.any():
-            return total
+def _hyp_series(a: float, b, c, z: float):
+    """Sum the series; each element of an array stops at its own first small term."""
+    if isinstance(b, float):
+        term = total = 1.0
+        for n in range(_SERIES_TERMS):
+            term, total, small = _hyp_step(a, b, c, z, n, term, total, max)
+            if small:
+                return total
+    else:
+        total = np.ones(b.shape)
+        term = np.ones(b.shape)
+        live = np.ones(b.shape, dtype=bool)  # elements still summing
+        for n in range(_SERIES_TERMS):
+            term[live], total[live], small = _hyp_step(a, b[live], c[live], z, n, term[live],
+                                                       total[live], np.fmax)
+            live[live] = ~small
+            if not live.any():
+                return total
     raise QuadratureError(f"hypergeometric series did not converge at z={z}")
+
+
+def _hyp_step(a, b, c, z, n, term, total, fmax):
+    """Term n + 1, the sum through it, and whether the term is small: the one series step."""
+    t = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
+    s = total + t
+    # a nan term never counts as small; fmax, like max, passes over a nan total
+    return t, s, abs(t) <= _SERIES_TOL * fmax(1.0, abs(s))
 
 
 @dataclass(frozen=True)
@@ -282,7 +325,9 @@ def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TO
     Grid points are snapped to 12 decimals so accumulated float drift
     cannot miss exact values such as q = 0 or the q = 1/2 branch point;
     adding 0.0 turns a snapped -0.0 into 0.0, so q = 0 always prints as 0.
-    Per-point quadrature failures are flagged on the row, not raised.
+    The whole grid is one batch of _tanh_sinh, each row the float that
+    var_ztilde_infinity_result gives at its q.  Per-point quadrature failures
+    are flagged on the row, not raised.
     """
     if not step > 0.0:
         raise ValueError("step must be positive")
@@ -290,15 +335,9 @@ def figure_grid(q_min: float, q_max: float, step: float, tol: float = DEFAULT_TO
         raise ValueError("grid must stay within [-1, 0.99]")
     if not q_min <= q_max:
         raise ValueError("empty grid")
-    rows = []
     count = int(round((q_max - q_min) / step))
-    for i in range(count + 1):
-        qv = round(q_min + i * step, 12) + 0.0
-        if qv > q_max + 1e-12:
-            break
-        try:
-            res = var_ztilde_infinity_result(qv, tol)
-            rows.append(FigureRow(qv, qv * qv * res.value, qv * qv * res.abs_err_estimate))
-        except QuadratureError:
-            rows.append(FigureRow(qv, math.nan, math.inf, ok=False))
-    return rows
+    qs = [round(q_min + i * step, 12) + 0.0 for i in range(count + 1)]
+    qs = [qv for qv in qs if qv <= q_max + 1e-12]
+    return [FigureRow(qv, math.nan, math.inf, ok=False) if isinstance(res, QuadratureError)
+            else FigureRow(qv, qv * qv * res.value, qv * qv * res.abs_err_estimate)
+            for qv, res in zip(qs, _tanh_sinh(_phi_level(qs), len(qs), tol))]

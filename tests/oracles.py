@@ -2,8 +2,9 @@
 
 Each is a second route to a quantity the package computes another way: the
 closed form of H, the Pochhammer-ratio covariance of W, the O(n^2) double
-sum for E[Ztilde^2], the recursions for E[S_k^2] that the forward pass of
-enumerate_exact sums directly, the QSL statistic of one S path, and the
+sum for E[Ztilde^2], the scalar limit-variance integrand and the power
+series of its integral, the
+recursions for E[S_k^2] that the forward pass of enumerate_exact sums directly, the QSL statistic of one S path, and the
 invariants of a simulated word path.  The test modules
 import them by bare name (``from oracles import ...``), which works because
 pytest puts this directory on ``sys.path``.
@@ -73,6 +74,66 @@ def var_ztilde_double_sum(n: int, q: float) -> float:
             inner.append(2.0 * (-1.0) ** l * ratio)
         total.append(h[k] / k**2 * math.fsum(inner))
     return math.fsum(total)
+
+
+def phi_integrand(q: float, u: float, um1: float = None) -> float:
+    """The limit-variance integrand at one q and one u, in Python floats.
+
+    The scalar form of quadrature._phi_level, whose rows must equal it bit for bit:
+        (1/(2q-1)) * (u^(1-2q) - 1)/(1 - u) * ((1 - u/2)^(q-1) - 1)/u,
+    and (-ln u)/(1 - u) * ((1 - u/2)^(-1/2) - 1)/u at q = 1/2.
+    """
+    q = _check_q(q)
+    if um1 is None:
+        um1 = 1.0 - u
+    # u and um1 are validated separately: near an endpoint one of them may
+    # round to 1.0 while the other still resolves the distance to it
+    if not (0.0 < u <= 1.0 and 0.0 < um1 <= 1.0):
+        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
+
+    log_u = math.log1p(-um1) if u > 0.5 else math.log(u)
+    second = math.expm1((q - 1.0) * math.log1p(-0.5 * u)) / u
+    if q == 0.5:
+        first = -log_u / um1
+        return first * second
+    first = math.expm1((1.0 - 2.0 * q) * log_u) / um1
+    return first * second / (2.0 * q - 1.0)
+
+
+def var_ztilde_series(q: float, terms: int = 200) -> float:
+    """Limit variance of Ztilde as a power series, in mpmath at 30 digits; no quadrature.
+
+    With a = 2q - 1 the integrand of quadrature.phi_integrand is
+    (u^(-a) - 1)/(a (1 - u)) g(u), where g(u) = ((1 - u/2)^(q-1) - 1)/u has the
+    coefficients g_k = binom(q-1, k+1) (-1/2)^(k+1).  Expanding 1/(1 - u) as a
+    geometric series, the product is (u^(-a) - 1)/a times sum_n c_n u^n, with
+    c_n = g_0 + ... + g_n, and term by term
+
+        integral of (u^(n-a) - u^n)/a over (0, 1) = 1/((n + 1 - a)(n + 1)),
+
+    so V(q) = sum_n c_n/((n + 1 - a)(n + 1)); at q = 1/2 (a = 0) the log branch
+    gives the same terms.  c_n tends to C = g(1) = 2^(1-q) - 1 like 2^-n, and
+    sum_n 1/((n + 1 - a)(n + 1)) = (psi(1) - psi(1 - a))/a (pi^2/6 at a = 0), so
+
+        V(q) = C (psi(1) - psi(1 - a))/a + sum_n (c_n - C)/((n + 1 - a)(n + 1)),
+
+    whose second sum converges geometrically: 200 terms leave far less than a
+    double's rounding.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        q = mpmath.mpf(_check_q(q))
+        a = 2 * q - 1
+        limit = 2 ** (1 - q) - 1
+        g = mpmath.mpf(1)  # binom(q-1, j) (-1/2)^j at j = 0
+        c = tail = mpmath.mpf(0)
+        for n in range(terms):
+            g *= (q - 1 - n) / (n + 1) * mpmath.mpf(-0.5)  # now g_n
+            c += g
+            tail += (c - limit) / ((n + 1 - a) * (n + 1))
+        head = mpmath.pi ** 2 / 6 if a == 0 else (mpmath.digamma(1) - mpmath.digamma(1 - a)) / a
+        return float(limit * head + tail)
 
 
 def s_moments(n: int, q: float):

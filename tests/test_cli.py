@@ -42,9 +42,9 @@ class TestVariance:
 
     @pytest.mark.parametrize("bad", (("--exact-n", "0"), ("--tol", "0")))
     def test_arguments_checked_before_quadrature(self, monkeypatch, bad):
-        # counts integrand evaluations: the tol check is inside the quadrature call
+        # counts quadrature nodes built: the tol check is inside the quadrature call
         calls = []
-        monkeypatch.setattr(quadrature, "phi_integrand", lambda *a: calls.append(a) or 1.0)
+        monkeypatch.setattr(quadrature, "_node", lambda t: calls.append(t) or (0.5, 0.5, 1.0))
         with pytest.raises(SystemExit) as exc:
             main(["variance", "--q", "0.5", *bad])
         assert exc.value.code == 2

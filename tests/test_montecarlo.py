@@ -17,7 +17,7 @@ from dihedral_erw import _philox, _stages, montecarlo
 from dihedral_erw.coupling import (CoupledState, advance, coupled_states_along,
                                    encode_increment, final_coupled_state)
 from dihedral_erw.group import MemoryParams, simulate_walk, step_prob_a
-from dihedral_erw.moments import r_norm
+from dihedral_erw.moments import h_moment, r_norm
 from dihedral_erw.montecarlo import (
     LIL_START,
     ks_normal_test,
@@ -850,11 +850,17 @@ class TestWRegimeScan:
         assert scaled.mean() == x.mean()
 
     def test_regimes_stay_bounded(self):
+        n = 100_000
         for p in (0.5, 0.75, 0.9):
-            x, _ = self.scaled_w(p, 100_000, 200)
+            x, _ = self.scaled_w(p, n, 200)
             # nondegenerate spread with no runaway outliers at fixed n
             assert x.var(ddof=1) > 0.0
             assert x.max() <= 10.0 * (x.mean() + 1.0)
+            # and the scale itself: the sample mean of W_n^2 within 4 standard errors of the
+            # exact H(n, q); each other p of the three is 9.8 or more standard errors off
+            w2 = (x * r_norm(n, p)) ** 2
+            assert abs(w2.mean() - h_moment(n, MemoryParams.from_p(p).q)) <= 4.0 * math.sqrt(
+                w2.var(ddof=1) / w2.size)
 
     def test_superdiffusive_scale_is_stable(self):
         # |W_n| / n^q settles onto a nondegenerate random level above the

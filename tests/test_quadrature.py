@@ -1,18 +1,22 @@
+import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from oracles import phi_integrand, var_ztilde_series
 
 from dihedral_erw.moments import t2, var_ztilde_exact
 from dihedral_erw.quadrature import (
     QuadratureError,
+    _node,
+    _phi_level,
     figure_grid,
     gauss_2f1,
     i_factor_table,
     integrate,
     j1,
     j2,
-    phi_integrand,
     var_z_infinity,
     var_ztilde_infinity,
     var_ztilde_infinity_result,
@@ -71,7 +75,95 @@ class TestIntegrate:
         assert res.value == pytest.approx(3.7604123636082086e-10, abs=1e-10)
 
 
+def _peak(u, um1):  # the J1 integrand of TestIntegrate.test_narrow_peak_is_not_missed
+    log_u = math.log1p(-um1) if u > 0.5 else math.log(u)
+    return math.exp((5000 - 0.5 - 1.0) * log_u + 1.5 * math.log(um1)) / (1.0 + u)
+
+
+class TestQuadratureBits:
+    """Quadrature results pinned bit for bit: value and error estimate as hex, plus levels
+    and evaluations.  The values were computed with one scalar tanh-sinh pass per integral,
+    before every integral of a batch shared one pass.
+    """
+
+    VAR = (
+        (-1.0, "0x1.23e33d5d8385ep+0", "0x0.0p+0", 4, 193),
+        (-0.5, "0x1.cd4e483f8e98cp-1", "0x0.0p+0", 4, 193),
+        (0.0, "0x1.62e42fefa39f0p-1", "0x0.0p+0", 4, 193),
+        (0.3, "0x1.26624c2d3e23ap-1", "0x0.0p+0", 4, 193),
+        (0.5 - 1e-6, "0x1.fa9dffc5cc77ap-2", "0x0.0p+0", 4, 193),
+        (0.5, "0x1.fa9de4377dd36p-2", "0x1.0000000000000p-54", 4, 193),
+        (0.5 + 1e-6, "0x1.fa9dc8a92e9bap-2", "0x0.0p+0", 4, 193),
+        (0.8, "0x1.7297797649029p-2", "0x0.0p+0", 4, 193),
+        (0.95, "0x1.1fefde9dd20d4p-2", "0x1.0000000000000p-53", 4, 193),
+    )
+
+    @staticmethod
+    def bits(res):
+        return res.value.hex(), res.abs_err_estimate.hex(), res.levels, res.evaluations
+
+    @pytest.mark.parametrize("q, value, err, levels, evals", VAR, ids=[str(row[0]) for row in VAR])
+    def test_limit_variance_bits(self, q, value, err, levels, evals):
+        assert self.bits(var_ztilde_infinity_result(q)) == (value, err, levels, evals)
+
+    def test_figure_grid_digest(self):
+        rows = figure_grid(-1.0, 0.95, 0.005)
+        assert len(rows) == 391
+        text = "\n".join(f"{r.q.hex()} {r.var_z_infinity.hex()} {r.abs_err.hex()} {r.ok}" for r in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8650c3b1dd17830311e1237490db472f9bca5dd323af3cbf7b5a0c63db2bb1ed")
+
+    INTEGRATE = (
+        (lambda u, um1: 1.0 / (2.0 - u), 1e-12, ("0x1.62e42fefa39efp-1", "0x1.0000000000000p-53", 5, 385)),
+        (lambda u, um1: um1 ** -0.5, 1e-10, ("0x1.0000000000000p+1", "0x0.0p+0", 4, 193)),
+        (lambda u, um1: -math.log(u), 1e-10, ("0x1.0000000000000p+0", "0x0.0p+0", 4, 193)),
+        (lambda u, um1: 1.0, math.inf, ("0x1.00000000000a6p+0", "0x1.c2e9f90c00000p-19", 2, 49)),
+        (lambda u, um1: 1.0, 0.1, ("0x1.00000000000a6p+0", "0x1.c2e9f90c00000p-19", 2, 49)),
+        (lambda u, um1: 1.0, 1e-10, ("0x1.0000000000000p+0", "0x0.0p+0", 4, 193)),
+        (_peak, 1e-10, ("0x1.9d7632c04f33ap-32", "0x1.475a298000000p-59", 5, 385)),
+    )
+
+    @pytest.mark.parametrize("f, tol, want", INTEGRATE)
+    def test_integrate_bits(self, f, tol, want):
+        assert self.bits(integrate(f, tol)) == want
+
+    @pytest.mark.parametrize("f, message", (
+        (lambda u, um1: math.cos(1e5 * u), "no convergence to tol=1e-10 after 12 refinement levels "
+                                           "(last level difference 1.312e-04)"),
+        (lambda u, um1: float("nan"), "integrand not finite at u=0.5"),
+        # the first node in summation order: t = 2 at level 0
+        (lambda u, um1: math.inf if um1 < 1e-3 else 1.0, "integrand not finite at u=0.9999887385962308"),
+        # t = 4 comes before t = -4
+        (lambda u, um1: math.inf if min(u, um1) < 1e-30 else 1.0, "integrand not finite at u=1.0"),
+    ))
+    def test_failure_messages(self, f, message):
+        with pytest.raises(QuadratureError) as exc:
+            integrate(f)
+        assert str(exc.value) == message
+
+    def test_limit_variance_failure_message(self):
+        for q, last in ((0.0, "4.441e-16"), (0.3, "8.882e-16")):
+            with pytest.raises(QuadratureError) as exc:
+                var_ztilde_infinity_result(q, tol=1e-17)
+            assert str(exc.value) == (f"no convergence to tol=1e-17 after 12 refinement levels "
+                                      f"(last level difference {last})")
+
+
 class TestPhiIntegrand:
+    """The scalar form in tests/oracles.py, and the package's batched rows against it."""
+
+    def test_batched_rows_match_the_scalar_form(self):
+        # the package evaluates the integrand a slab at a time; every value must be the
+        # scalar form's float, on the nodes of the first four levels and at u near 0 and 1
+        qs = (-1.0, -0.5, 0.0, 0.3, 0.5 - 1e-6, 0.5, 0.5 + 1e-6, 0.8, 0.95)
+        t = np.arange(-6.0, 6.0 + 1e-9, 0.125)
+        u, um1, _ = zip(*map(_node, t))
+        u, um1 = u + (1e-300, 0.5, 1.0), um1 + (1.0, 0.5, 1e-300)
+        got = _phi_level(qs)(u, um1)(np.arange(len(qs)))
+        want = [[phi_integrand(q, a, b) for a, b in zip(u, um1)] for q in qs]
+        assert got.shape == (len(qs), len(u))
+        assert [[v.hex() for v in row] for row in got.tolist()] == [[v.hex() for v in row] for row in want]
+
     def test_memoryless_reduces_to_rational(self):
         # at q=0 the integrand collapses to 1/(2-u)
         for u in (0.1, 0.25, 0.5, 0.9):
@@ -157,6 +249,13 @@ class TestLimitVariance:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         rate = (lambda n: n ** (q - 1.0)) if q > 0 else (lambda n: math.log(n) / n)
         assert gaps[-1] <= 5.0 * rate(ns[-1])
+
+    @pytest.mark.parametrize("q", (-1.0, -0.5, 0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95))
+    def test_against_series_oracle(self, q):
+        # an independent route to the paper's limit constant: the power series of
+        # oracles.var_ztilde_series at 30 digits, which shares no code with the quadrature
+        pytest.importorskip("mpmath")
+        assert abs(var_ztilde_infinity(q) - var_ztilde_series(q)) <= 1e-14
 
     def test_rejects_q_of_one(self):
         with pytest.raises(ValueError):
@@ -275,6 +374,16 @@ class TestGauss2F1:
         grid = gauss_2f1(1.0, np.array([[1.0], [2.0]]), np.array([3.0, 4.0, 5.0]), 0.5)
         assert grid.shape == (2, 3)
         assert grid[1, 2] == gauss_2f1(1.0, 2.0, 5.0, 0.5)
+
+    def test_scalar_calls_match_one_element_arrays(self):
+        # a scalar call sums in Python floats, an array call elementwise in numpy: same bits,
+        # on t2's (1, n+q+1; n+2) and on parameters whose series stop after a few terms
+        cases = [(1.0, n + q + 1.0, n + 2.0) for n in (1, 7, 1000, 10**6) for q in (-1.0, 0.0, 0.3, 0.95)]
+        cases += [(0.4, 0.7, 1.9), (2.2, 0.5, 2.7), (0.3, -1.0, 2.0), (1.5, 3.0, 0.5)]
+        for (a, b, c), z in product(cases, (-1.0, -0.5, 0.0, 0.5)):
+            got = gauss_2f1(a, b, c, z)
+            assert type(got) is float
+            assert got.hex() == gauss_2f1(a, np.array([b]), np.array([c]), z)[0].hex()
 
     def test_non_convergence_raises(self):
         # near z = 1 the first element needs far more than 10,000 terms, the second few
