@@ -7,24 +7,23 @@ W = #a - #b, and S determines W through an alternating sum.
 """
 
 from dihedral_erw import (
-    GroupWord,
     MemoryParams,
     WalkTrace,
     encode_increment,
     exhaustive_coupling_check,
     reconstruct_w_from_s,
-    reduce_left_multiply,
     signed_location,
     simulate_walk,
     verify_coupling,
 )
 from dihedral_erw.montecarlo import replication_stream
 
-# the nine-step excursion e, a, ba, aba, baba, aba, baba, ababa, baba, aba
-letters = ["a", "b", "a", "b", "b", "b", "a", "a", "b"]
-positions = [GroupWord.identity()]
-for g in letters:
-    positions.append(reduce_left_multiply(g, positions[-1]))
+# the nine-step excursion e, a, ba, aba, baba, aba, baba, ababa, baba, aba;
+# the trace multiplies its positions out from the letters, w_k = g_k * w_(k-1)
+letters = "ababbbaab"
+trace = WalkTrace(params=MemoryParams.from_p(0.5), letters=letters)
+
+positions = trace.positions
 
 s = 0
 print("k  letter  word     signed  encoded-S")
@@ -32,7 +31,6 @@ for k, g in enumerate(letters, start=1):
     s += encode_increment(k, g)
     print(f"{k}  {g}       {str(positions[k]):7s}  {signed_location(positions[k]):+d}      {s:+d}")
 
-trace = WalkTrace(params=MemoryParams.from_p(0.5), letters=letters, positions=positions)
 print("\ncoupling verified on this path:", verify_coupling(trace))
 
 s_path = [sum(encode_increment(j, letters[j - 1]) for j in range(1, k + 1))

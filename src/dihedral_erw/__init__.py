@@ -24,7 +24,6 @@ from .coupling import (
     coupled_states_along,
     encode_increment,
     exhaustive_coupling_check,
-    final_coupled_state,
     reconstruct_w_from_s,
     verify_coupling,
 )

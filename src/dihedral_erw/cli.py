@@ -23,7 +23,7 @@ import shutil
 import sys
 
 from .acceptance import ALL_CRITERIA, QUICK_CRITERIA
-from .coupling import coupled_states_along, final_coupled_state, verify_coupling
+from .coupling import coupled_states_along, verify_coupling
 from .group import MemoryParams, _check_q, signed_location, simulate_walk, word_metric
 from .moments import MomentTable, enumerate_exact, var_ztilde_exact
 from .montecarlo import replication_stream
@@ -154,25 +154,26 @@ def _cmd_simulate(args) -> int:
     with _output(args.trace) if args.trace else contextlib.nullcontext() as out:
         stream = replication_stream(args.seed, 0)
         trace = _named("--steps", simulate_walk, params, args.steps, stream)
+        states = coupled_states_along(trace)
         if out:
-            states = coupled_states_along(trace)
             rows = ((st.n, g, st.W, st.S, st.Xi, st.Ztilde, st.QV)
                     for g, st in zip(trace.letters, states))
             _write_csv(out, "n,letter,W,S,Xi,Ztilde,QV", rows)
-    final = states[-1] if out else final_coupled_state(trace)
+    verified = verify_coupling(trace)   # walks trace.positions, which keep their last span
+    final, last = states[-1], trace.positions[-1]
     summary = {
         "p": params.p,
         "q": params.q,
         "steps": args.steps,
         "seed": args.seed,
-        "distance": word_metric(trace.positions[-1]),
-        "signed_location": signed_location(trace.positions[-1]),
+        "distance": word_metric(last),
+        "signed_location": signed_location(last),
         "W": final.W,
         "S": final.S,
         "Xi": final.Xi,
         "Ztilde": final.Ztilde,
         "QV": final.QV,
-        "coupling_verified": verify_coupling(trace),
+        "coupling_verified": verified,
     }
     print(json.dumps(summary))
     return 0

@@ -15,11 +15,10 @@ variation of Xi is <Xi>_n = n - q^2 * sum_{k<n} W_k^2/k^2.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import index
 from struct import Struct
 from typing import NamedTuple
 
-from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, _check_int,
+from .group import (LETTERS, GroupWord, MemoryParams, WalkTrace, _Replayed, _check_int,
                     reduce_left_multiply, signed_location, step_prob_a)
 
 
@@ -155,78 +154,68 @@ def reconstruct_w_from_s(s_path: Sequence[int]) -> int:
     return w
 
 
-_SPAN = 1024   # states between checkpoints; a read replays the one span that holds it
+class _StateChain(_Replayed):
+    """Read-only CoupledStates after each letter, rebuilt from a checkpoint every _SPAN steps.
 
-
-class _StateChain(Sequence):
-    """Read-only CoupledStates rebuilt from a checkpoint every _SPAN steps.
-
-    It keeps the letters as one str, q, and the state at the start of each
-    span.  A read replays its span through _steps into nine doubles a state
-    in one array("d"), which holds every field exactly, and the last span
-    replayed is kept: a read replays at most _SPAN steps, and reads in
-    order cost O(1) a state amortised.
+    It keeps the letters as one str, q and the state at the start of each
+    span that reads have reached.  A span is replayed through _steps into
+    nine doubles a state in one array("d"), which holds every field exactly,
+    and decoded on read.
     """
 
-    def __init__(self, letters: str, q: float, checkpoints: list):
-        self._letters, self._q, self._checkpoints = letters, q, checkpoints
-        self._span = self._fields = None
+    _FIRST = 1
 
-    def __len__(self) -> int:
-        return len(self._letters)
+    def __init__(self, letters: str, q: float, start: CoupledState):
+        super().__init__(letters, start)
+        self._q = q
 
-    def _replay(self, span: int):
-        """The packed states of one span (at most _SPAN), replayed unless it was the last read."""
-        if span != self._span:
-            from array import array  # here, so a process that reads no chain does not load it
+    def _run(self, start: CoupledState, letters: str):
+        from array import array  # here, so a process that reads no chain does not load it
 
-            lo = span * _SPAN
-            letters = self._letters[lo:lo + _SPAN]
-            fields = array("d", bytes(72 * len(letters)))
-            _steps(self._checkpoints[span], letters, self._q, fields, 72)
-            self._span, self._fields = span, fields
-        return self._fields
+        fields = array("d", bytes(72 * len(letters)))
+        return fields, _steps(start, letters, self._q, fields, 72)
 
-    def __getitem__(self, i: int) -> CoupledState:
-        k = range(len(self))[index(i)]  # TypeError for a slice, IndexError past either end
-        at = 9 * (k % _SPAN)
-        n, w, s, *rest = self._replay(k // _SPAN)[at:at + 9]
+    def _end(self, start: CoupledState, letters: str) -> CoupledState:
+        return _steps(start, letters, self._q, bytearray(72), 0)
+
+    @staticmethod
+    def _value(fields, j: int) -> CoupledState:
+        n, w, s, *rest = fields[9 * j:9 * j + 9]
         return CoupledState(int(n), int(w), int(s), *rest)
 
-    def __iter__(self):
-        for span in range(len(self._checkpoints)):
-            packed = memoryview(self._replay(span))
-            n, w, s, *rest = (packed[j::9] for j in range(9))  # strided, not copied
-            yield from map(CoupledState._make, zip(map(int, n), map(int, w), map(int, s), *rest))
+    @staticmethod
+    def _values(fields):
+        packed = memoryview(fields)
+        n, w, s, *rest = (packed[j::9] for j in range(9))  # strided, not copied
+        return map(CoupledState._make, zip(map(int, n), map(int, w), map(int, s), *rest))
 
 
 def coupled_states_along(trace: WalkTrace) -> Sequence:
     """Read-only sequence of the CoupledState after each step of a trace (n = 1..len).
 
-    The trace is stepped once here, where a bad letter raises, and later
-    reads replay a span of it; changing trace.letters afterwards changes no state.
+    A letter other than a or b raises here.  The chain keeps the trace's
+    str itself, not a copy, and steps it only as reads reach it: the last
+    state of a new chain costs one pass, and iteration steps each letter once.
     """
-    letters, q = trace.letters, trace.params.q
-    state, checkpoints, last = CoupledState(), [], bytearray(72)
-    for lo in range(0, len(letters), _SPAN):
-        checkpoints.append(state)
-        state = _steps(state, letters[lo:lo + _SPAN], q, last, 0)
-    return _StateChain("".join(letters), q, checkpoints)
-
-
-def final_coupled_state(trace: WalkTrace) -> CoupledState:
-    """The CoupledState after the last step of a trace, without the chain before it."""
-    return _steps(CoupledState(), trace.letters, trace.params.q, bytearray(72), 0)
+    letters = trace.letters
+    bad = letters.replace("a", "").replace("b", "")
+    if bad:
+        raise ValueError(f"not a generator: {bad[0]!r}")
+    return _StateChain(letters, trace.params.q, CoupledState())
 
 
 def verify_coupling(trace: WalkTrace) -> bool:
-    """True iff there are n + 1 positions and the encoded S-path equals their signed locations."""
+    """True iff the encoded S-path equals the signed locations of the positions.
+
+    The positions are multiplied out from the letters by the word rule,
+    never derived from S.
+    """
     s = 0
-    if len(trace.positions) != trace.n + 1 or signed_location(trace.positions[0]) != 0:
-        return False
-    for k, g in enumerate(trace.letters, start=1):
+    words = iter(trace.positions)
+    next(words)                     # w_0 = e
+    for k, (g, w) in enumerate(zip(trace.letters, words), start=1):
         s += encode_increment(k, g)
-        if signed_location(trace.positions[k]) != s:
+        if signed_location(w) != s:
             return False
     return True
 

@@ -8,14 +8,17 @@ position is a reduced word whose letters strictly alternate.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from operator import index
 from typing import Iterable, Optional
 
 import numpy as np
 
 LETTERS = ("a", "b")
 _DRAWS = 4096                  # uniforms per fill in simulate_walk
+_SPAN = 1024                   # letters between checkpoints of a replayed sequence
 
 
 def complement(letter: str) -> str:
@@ -204,17 +207,106 @@ def _letter(u: float, q: float, W: int, n: int) -> str:
     return "a" if u < step_prob_a(q, W, n) else "b"
 
 
-@dataclass
+class _Replayed(Sequence):
+    """Read-only values along a str of letters, rebuilt from a checkpoint every _SPAN letters.
+
+    Span j holds the values after letters j*_SPAN + 1 .. (j + 1)*_SPAN, and
+    checkpoint j the value before them; item i is the value after _FIRST + i
+    letters.  A subclass's _run(start, letters) returns a span's values, as
+    _value and _values read them, and the value after the span; _end gives
+    that last value alone, for the spans a read steps over.  Only the start,
+    the checkpoints that reads have reached and the last span replayed are
+    kept: reads in order step each letter once, and any read steps over at
+    most the spans from the last checkpoint to its own.
+    """
+
+    _FIRST = 0
+
+    def __init__(self, letters: str, start):
+        self._letters, self._checkpoints = letters, [start]
+        self._span = self._held = None
+
+    def __len__(self) -> int:
+        return len(self._letters) + 1 - self._FIRST
+
+    def _replay(self, span: int):
+        """The values of one span, replayed from its checkpoint unless it was the last read."""
+        points = self._checkpoints
+        while len(points) <= span:
+            lo = (len(points) - 1) * _SPAN
+            points.append(self._end(points[-1], self._letters[lo:lo + _SPAN]))
+        if span != self._span:
+            lo = span * _SPAN
+            self._held, end = self._run(points[span], self._letters[lo:lo + _SPAN])
+            self._span = span
+            if span + 1 == len(points):
+                points.append(end)
+        return self._held
+
+    def _end(self, start, letters: str):
+        return self._run(start, letters)[1]
+
+    def __getitem__(self, i: int):
+        # letters before item i: TypeError for a slice, IndexError past either end
+        m = range(self._FIRST, len(self._letters) + 1)[index(i)]
+        if m == 0:
+            return self._checkpoints[0]
+        return self._value(self._replay((m - 1) // _SPAN), (m - 1) % _SPAN)
+
+    def __iter__(self):
+        if not self._FIRST:
+            yield self._checkpoints[0]
+        for span in range(-(-len(self._letters) // _SPAN)):
+            yield from self._values(self._replay(span))
+
+    @staticmethod
+    def _value(held, j: int):
+        return held[j]
+
+    @staticmethod
+    def _values(held):
+        return held
+
+
+class _Positions(_Replayed):
+    """The positions w_0 = e, w_k = reduce_left_multiply(g_k, w_(k-1)) along a str of letters."""
+
+    def __init__(self, letters: str):
+        super().__init__(letters, _word(0, None))
+
+    @staticmethod
+    def _run(w: GroupWord, letters: str):
+        words = []
+        for g in letters:
+            w = reduce_left_multiply(g, w)
+            words.append(w)
+        return words, w
+
+
+@dataclass(frozen=True)
 class WalkTrace:
-    """One realised path: step letters g_1..g_n and positions w_0..w_n."""
+    """One realised path: step letters g_1..g_n and positions w_0..w_n.
+
+    The letters are one str, a byte a step; any other iterable of letters
+    is joined into one.  The positions are not stored: positions is a
+    read-only sequence that multiplies them out from the letters as reads
+    reach them, made at the first read and kept with the trace.
+    """
 
     params: MemoryParams
-    letters: list = field(default_factory=list)
-    positions: list = field(default_factory=list)
+    letters: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.letters, str):   # "".join(str) would build a list of its characters
+            object.__setattr__(self, "letters", "".join(self.letters))
 
     @property
     def n(self) -> int:
         return len(self.letters)
+
+    @cached_property
+    def positions(self) -> Sequence:
+        return _Positions(self.letters)
 
     def word_metrics(self) -> np.ndarray:
         return np.array([word_metric(w) for w in self.positions], dtype=np.int64)
@@ -231,17 +323,18 @@ def simulate_walk(params: MemoryParams, steps: int, rng) -> WalkTrace:
     remembered past step with probability p, in O(1) state.  One uniform
     per step is consumed, in rng.random fills of _DRAWS at a time, which
     give the same doubles as successive scalar draws; that pins the path
-    to the injected stream.
+    to the injected stream.  Each fill's letters are joined into one str,
+    and no word is formed here: the trace's positions multiply them out.
     """
     steps = _check_int(steps, "steps")
     q = params.q
-    letters = []
-    positions = [_word(0, None)]
+    fills = []
     W = 0
     for done in range(0, steps, _DRAWS):
+        fill = []
         for n, u in enumerate(rng.random(min(_DRAWS, steps - done)).tolist(), done):
             g = _letter(u, q, W, n)
             W += 1 if g == "a" else -1
-            letters.append(g)
-            positions.append(reduce_left_multiply(g, positions[-1]))
-    return WalkTrace(params=params, letters=letters, positions=positions)
+            fill.append(g)
+        fills.append("".join(fill))
+    return WalkTrace(params=params, letters="".join(fills))

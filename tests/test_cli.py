@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dihedral_erw
-from dihedral_erw import cli, quadrature
+from dihedral_erw import cli, coupling, group, quadrature
 from dihedral_erw.acceptance import Q_GRID
 from dihedral_erw.cli import main
 from dihedral_erw.moments import h_moment
@@ -20,6 +21,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_stepped_letters(monkeypatch):
+    """A list that gets the number of letters of each call of coupling._steps from now on."""
+    stepped, steps = [], coupling._steps
+
+    def counted(state, letters, *args):
+        stepped.append(len(letters))
+        return steps(state, letters, *args)
+
+    monkeypatch.setattr(coupling, "_steps", counted)
+    return stepped
 
 
 class TestVariance:
@@ -103,17 +116,29 @@ class TestSimulate:
             assert payload[key] == getattr(ens, key)[0]
 
     def test_untraced_run_keeps_no_chain(self, capsys, monkeypatch):
-        # without --trace only the last state is kept; 9000 steps cross two
-        # of simulate_walk's uniform fills, which must read the engine's stream
-        def chain(trace):
-            raise AssertionError("untraced simulate built the chain")
-
-        monkeypatch.setattr(cli, "coupled_states_along", chain)
+        # without --trace only the last state is read: one pass that keeps one
+        # span; 9000 steps cross two of simulate_walk's uniform fills, which
+        # must read the engine's stream
+        stepped = count_stepped_letters(monkeypatch)
         _, out, _ = run_cli(capsys, "simulate", "--q", "0.5", "--steps", "9000", "--seed", "6")
+        assert sum(stepped) == 9000 and max(stepped) == group._SPAN
         payload = json.loads(out)
         ens = sample_paths(0.5, 9000, 1, 6)
         for key in ("W", "S", "Xi", "Ztilde", "QV"):
             assert payload[key] == getattr(ens, key)[0]
+
+    def test_trace_steps_each_letter_once(self, capsys, monkeypatch, tmp_path):
+        # the CSV rows and the summary's last state come from one pass, and
+        # both are pinned to their bytes (sha256 of the output of this command)
+        stepped = count_stepped_letters(monkeypatch)
+        trace_file = tmp_path / "trace.csv"
+        _, out, _ = run_cli(capsys, "simulate", "--q", "-0.7", "--steps", "2100", "--seed", "4",
+                            "--trace", str(trace_file))
+        assert sum(stepped) == 2100
+        assert hashlib.sha256(trace_file.read_bytes()).hexdigest() == (
+            "df026954132bd438cdeaa489232eab57110067824cb1bd2d5233a195a310c275")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a8b70a2d2ef2155f48dff9bd810b48925699db56d34557aade0e53601a12e3a1")
 
     def test_seed_changes_path(self, capsys):
         _, out1, _ = run_cli(capsys, "simulate", "--q", "0.3", "--steps", "500", "--seed", "1")

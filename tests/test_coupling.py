@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_erw import coupling
+from dihedral_erw import coupling, group
 from dihedral_erw.coupling import (
     CoupledState,
     advance,
@@ -16,7 +17,8 @@ from dihedral_erw.coupling import (
     reconstruct_w_from_s,
     verify_coupling,
 )
-from dihedral_erw.group import GroupWord, MemoryParams, WalkTrace, reduce_left_multiply, simulate_walk
+from dihedral_erw.group import (GroupWord, MemoryParams, WalkTrace, reduce_left_multiply,
+                                signed_location, simulate_walk)
 from dihedral_erw.moments import enumerate_exact
 from dihedral_erw.montecarlo import replication_stream
 
@@ -27,11 +29,7 @@ PATH_S = [1, 2, 3, 4, 3, 4, 5, 4, 3]
 
 
 def trace_from_letters(letters, params=None):
-    params = params or MemoryParams.from_p(0.5)
-    positions = [GroupWord.identity()]
-    for g in letters:
-        positions.append(reduce_left_multiply(g, positions[-1]))
-    return WalkTrace(params=params, letters=list(letters), positions=positions)
+    return WalkTrace(params=params or MemoryParams.from_p(0.5), letters=letters)
 
 
 class TestEncodeIncrement:
@@ -96,7 +94,7 @@ class TestAdvance:
             coupled_states_along(trace)
 
     def test_chain_memory_per_state(self):
-        # a checkpoint every coupling._SPAN states, one byte a letter and one
+        # a checkpoint every group._SPAN states, one byte a letter and one
         # replayed span of nine packed doubles a state peak at about 3.5 B a
         # state here; the array of every state took 72, a list of
         # CoupledState tuples of boxed numbers about 340
@@ -114,10 +112,71 @@ class TestAdvance:
         assert len(states) == steps
         assert (peak - before) / steps < 8
 
+    def test_trace_memory_per_step(self):
+        # the letters as one str; lists of letters and of positions held 16 B a step
+        steps = 100_000
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            trace = simulate_walk(MemoryParams.from_q(0.5), steps, replication_stream(3, 0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.n == steps
+        assert (held - before) / steps < 1.1
+        assert (peak - before) / steps < 4
+
+    def test_positions_memory(self):
+        # reading every position of a 1e6-step trace holds a checkpoint word
+        # every group._SPAN steps and one replayed span, not 1e6 words; the
+        # word cache (at most 4096 words) is filled by a first reading
+        steps = 1_000_000
+        trace = simulate_walk(MemoryParams.from_q(0.5), steps, replication_stream(3, 0))
+        for _ in WalkTrace(trace.params, trace.letters).positions:
+            pass
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            count = sum(1 for _ in trace.positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == steps + 1
+        assert peak - before < 2**20
+
     @pytest.mark.parametrize("q", (-1.0, 0.0, 0.5, 1.0))
     def test_final_state_is_the_chain_end(self, q):
         trace = simulate_walk(MemoryParams.from_q(q), 5000, replication_stream(4, 0))
-        assert repr(coupling.final_coupled_state(trace)) == repr(coupled_states_along(trace)[-1])
+        last = coupling._steps(CoupledState(), trace.letters, q, bytearray(72), 0)
+        assert repr(last) == repr(coupled_states_along(trace)[-1])
+
+    def test_chain_steps_each_letter_once(self, monkeypatch):
+        # checkpoints fill as reads advance: iteration steps each letter once,
+        # the last state of a new chain costs one pass, and a read behind the
+        # last span replays its own span alone
+        steps = 3 * group._SPAN + 5
+        trace = simulate_walk(MemoryParams.from_q(0.3), steps, replication_stream(6, 0))
+        stepped = []
+
+        def counted(state, letters, *args):
+            stepped.append(len(letters))
+            return steps_(state, letters, *args)
+
+        steps_ = coupling._steps
+        monkeypatch.setattr(coupling, "_steps", counted)
+        states = coupled_states_along(trace)
+        assert stepped == []
+        walked = list(states)
+        assert sum(stepped) == steps and len(walked) == steps
+        states[-1]
+        assert sum(stepped) == steps
+        assert repr(states[5]) == repr(walked[5])
+        assert stepped[-1] == group._SPAN and sum(stepped) == steps + group._SPAN
+        stepped.clear()
+        again = coupled_states_along(trace)
+        assert repr(again[-1]) == repr(walked[-1]) and sum(stepped) == steps
 
     def test_packed_states_keep_every_bit(self):
         # replayed from this checkpoint, the two states hold -0.0 and the
@@ -128,33 +187,40 @@ class TestAdvance:
             st_ = coupling._steps(st_, g, 0.5, bytearray(72), 0)
             expect.append(repr(st_))
         assert "Ztilde=-0.0" in expect[0] and "5e-324" in expect[0] and "5e-324" in expect[1]
-        chain = coupling._StateChain("ab", 0.5, [start])
+        chain = coupling._StateChain("ab", 0.5, start)
         assert [repr(x) for x in chain] == [repr(chain[0]), repr(chain[-1])] == expect
 
     @pytest.mark.parametrize("q", (-0.5, 0.8))
     def test_random_access_matches_iteration(self, q):
         # three full spans and five states of a fourth: every index, both
         # signs, in an order that jumps between spans and across their edges
-        steps = 3 * coupling._SPAN + 5
+        steps = 3 * group._SPAN + 5
         trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(6, 0))
         states = coupled_states_along(trace)
         walked = [repr(st_) for st_ in states]
         assert len(states) == len(walked) == steps
-        edges = [k for span in range(4) for k in (span * coupling._SPAN - 1, span * coupling._SPAN)]
+        fresh = coupled_states_along(trace)  # first reads that step over spans not yet reached
+        for k in (2 * group._SPAN + 3, group._SPAN, -1, 0):
+            assert repr(fresh[k]) == walked[k]
+        edges = [k for span in range(4) for k in (span * group._SPAN - 1, span * group._SPAN)]
         for k in [*edges[1:], *range(steps - 1, -1, -1), *range(steps)]:
             assert repr(states[k]) == walked[k]
             assert repr(states[k - steps]) == walked[k]
-        for k in (steps, steps + coupling._SPAN, -steps - 1):
+        for k in (steps, steps + group._SPAN, -steps - 1):
             with pytest.raises(IndexError):
                 states[k]
         with pytest.raises(TypeError, match="slice"):
             states[1:3]
 
     def test_chain_keeps_its_own_letters(self):
-        trace = simulate_walk(MemoryParams.from_q(0.3), coupling._SPAN + 10, replication_stream(7, 0))
+        # the trace is frozen and its letters a str, so the chain holds that
+        # str itself, not a copy, and no later change reaches its states
+        trace = simulate_walk(MemoryParams.from_q(0.3), group._SPAN + 10, replication_stream(7, 0))
         states = coupled_states_along(trace)
         before = [repr(st_) for st_ in states]
-        trace.letters[:] = ["b" if g == "a" else "a" for g in trace.letters]
+        assert states._letters is trace.letters
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.letters = trace.letters.translate(str.maketrans("ab", "ba"))
         assert [repr(states[k]) for k in range(len(states))] == before
         assert [repr(st_) for st_ in states] == before
 
@@ -284,19 +350,13 @@ class TestVerifyCoupling:
     def test_exhaustive_small_depth(self):
         assert exhaustive_coupling_check(10) == 2**10
 
-    def test_broken_trace_detected(self):
-        trace = trace_from_letters(["a", "b", "a"])
-        trace.positions[2] = GroupWord.from_letters("ab")  # wrong side
-        assert not verify_coupling(trace)
-
-    def test_extra_position_detected(self):
+    def test_broken_trace_detected(self, monkeypatch):
+        # a word rule that puts the step to length 4 on the wrong side of e
+        # (step 4 of the path) must fail the check, which multiplies words
+        assert verify_coupling(trace_from_letters(PATH_LETTERS))
+        monkeypatch.setattr(group, "reduce_left_multiply", _wrong_letter_at_length_4)
         trace = trace_from_letters(PATH_LETTERS)
-        trace.positions.append(reduce_left_multiply("a", trace.positions[-1]))
-        assert not verify_coupling(trace)
-
-    def test_missing_position_detected(self):
-        trace = trace_from_letters(PATH_LETTERS)
-        del trace.positions[-1]
+        assert signed_location(trace.positions[4]) == -PATH_S[3]
         assert not verify_coupling(trace)
 
     def test_exhaustive_every_depth_and_far(self):

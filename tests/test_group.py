@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dihedral_erw.group import (
+    _SPAN,
     GroupWord,
     MemoryParams,
+    WalkTrace,
     _letter,
     complement,
     reduce_left_multiply,
@@ -201,6 +203,34 @@ class TestSimulateWalk:
         for q, steps in ((-1.0, 500), (-0.3, 500), (0.0, 500), (0.6, 500), (0.5, 10_000)):
             trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(11, 0))
             check_invariants(trace)
+
+    def test_positions_replay_the_word_rule(self):
+        # the positions, read by iteration and by index in an order that jumps
+        # between spans and across their edges, are the words formed one
+        # letter at a time; w_0 = e is item 0, so there are n + 1
+        steps = 3 * _SPAN + 5
+        trace = simulate_walk(MemoryParams.from_q(0.4), steps, replication_stream(12, 0))
+        assert isinstance(trace.letters, str) and len(trace.letters) == steps
+        words = [E]
+        for g in trace.letters:
+            words.append(reduce_left_multiply(g, words[-1]))
+        positions = trace.positions
+        assert positions is trace.positions and len(positions) == steps + 1
+        assert list(positions) == words
+        edges = [k for span in range(4) for k in (span * _SPAN, span * _SPAN + 1)]
+        for k in [steps, *edges, *range(steps, -1, -1)]:
+            assert positions[k] == words[k] and positions[k - steps - 1] == words[k]
+        for k in (steps + 1, -steps - 2):
+            with pytest.raises(IndexError):
+                positions[k]
+
+    def test_trace_joins_any_letters(self):
+        params = MemoryParams.from_p(0.5)
+        for letters in (["a", "b", "b"], ("a", "b", "b"), iter("abb"), "abb"):
+            trace = WalkTrace(params, letters)
+            assert trace.letters == "abb" and trace.n == 3
+            assert trace.positions[-1] == word("a")
+        assert WalkTrace(params).positions[-1] == E
 
     def test_single_step_uniform(self):
         params = MemoryParams.from_p(0.3)

@@ -14,8 +14,7 @@ import pytest
 
 import dihedral_erw
 from dihedral_erw import _philox, _stages, montecarlo
-from dihedral_erw.coupling import (CoupledState, advance, coupled_states_along,
-                                   encode_increment, final_coupled_state)
+from dihedral_erw.coupling import CoupledState, advance, coupled_states_along, encode_increment
 from dihedral_erw.group import MemoryParams, simulate_walk, step_prob_a
 from dihedral_erw.moments import h_moment, r_norm
 from dihedral_erw.montecarlo import (
@@ -371,7 +370,7 @@ class TestEngine:
         assert [type(key[0]) for key in montecarlo._ENSEMBLES] == [float]
         for i in range(reps):
             trace = simulate_walk(MemoryParams.from_q(q), steps, replication_stream(SEED, i))
-            last = final_coupled_state(trace)
+            last = coupled_states_along(trace)[-1]
             assert ((last.W, last.S, last.Xi, last.Ztilde, last.QV)
                     == (ens.W[i], ens.S[i], ens.Xi[i], ens.Ztilde[i], ens.QV[i])), i
         for bad in ("q", 1.5, np.float32(-1.5), float("nan")):

@@ -6,9 +6,9 @@ correction as a Neumaier sum.  A second function that updates those sums
 would be a second copy of the step, free to drift from the first.  So every
 write of a compensation field (an assignment to the name or an attribute, or
 a keyword argument) must sit inside ``_steps``, apart from the field list of
-``CoupledState`` itself, and ``advance``, ``coupled_states_along``,
-``final_coupled_state`` and the chain's span replay ``_replay`` must step
-through it.  The sources are parsed, not imported.
+``CoupledState`` itself, and ``advance`` and the chain's span replay, ``_run``
+and ``_end`` (which every read of ``coupled_states_along`` goes through),
+must step through it.  The sources are parsed, not imported.
 """
 
 import ast
@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COUPLING = SRC / "dihedral_erw" / "coupling.py"
 FIELDS = {"xi_comp", "zt_comp", "qv_corr", "qv_comp"}
 HOME = "_steps"
-CALLERS = ("advance", "coupled_states_along", "final_coupled_state", "_replay")
+CALLERS = ("advance", "_run", "_end")
 
 
 def field_writes(path):
