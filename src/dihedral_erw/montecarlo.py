@@ -166,7 +166,8 @@ def sample_paths(
     out = PathStats(q=q, steps=steps, reps=reps, master_seed=master_seed)
     needed = ("paths", *snapshot_steps) + (("collectors",) if collect else ())
     if any(stored_rows(k) < reps for k in needed):
-        chunk = int(max(64, min(1024, (1 << 22) // (reps + min(_TILE, reps)))))
+        chunk = (min(1024, _BLOCK_CELLS // reps) if reps <= _TILE
+                 else max(64, min(1024, (1 << 22) // (reps + _TILE))))
         args = (q, steps, master_seed, bool(collect), snapshot_steps, chunk)
         global _stages
         from . import _stages
@@ -206,21 +207,22 @@ def _plan(reps: int, steps: int, cpus) -> tuple:
     return parts, 2 if reps < _MIN_PART_ROWS and steps >= _MIN_STAGE_STEPS and cpus >= 2 else 1
 
 
-def _uniform_buffer(chunk: int, reps: int, tile: int) -> tuple:
-    """A (chunk, reps) view and a tile * chunk staging block, of one buffer kept across calls.
+def _uniform_buffer(chunk: int, cols: int, tile: int) -> tuple:
+    """A (chunk, cols) view and a tile * chunk staging block, of one buffer kept across calls.
 
     At 10k reps in one process the buffer is 32.0 MiB, just under glibc's
     largest mmap threshold; freeing it after every ensemble would move later
     ones onto the heap, where stored ensembles pin them, and raise peak
     memory (the mc_wide benchmark's three passes: 111.7 against 80.1 MiB).
     Split in two parts, each process's buffer is 16.2 MiB, and freeing it
-    made no difference (59.8 against 60.5 MiB in the caller).
+    made no difference (59.8 against 60.5 MiB in the caller).  A pass of
+    one tile asks for no columns (_uniforms).
     """
     global _UNIFORMS
-    size = chunk * (reps + tile)
+    size = chunk * (cols + tile)
     if _UNIFORMS.size < size:
         _UNIFORMS = np.empty(size)
-    return _UNIFORMS[:chunk * reps].reshape(chunk, reps), _UNIFORMS[chunk * reps:size]
+    return _UNIFORMS[:chunk * cols].reshape(chunk, cols), _UNIFORMS[chunk * cols:size]
 
 
 def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) -> tuple:
@@ -343,15 +345,20 @@ def _evolve(q, steps, master_seed, collect, snapshot_steps, chunk, first, reps) 
 def _uniforms(master_seed, first, reps, steps, chunk, seconds):
     """The uniforms of replications first..first+reps-1, chunk steps at a time.
 
-    Yields (steps in the chunk, reps) views of one buffer (_uniform_buffer),
-    row n holding each stream's draw for the chunk's step n, and adds the
-    time it takes, stream construction included, to seconds["fill"].  Each
-    tile of _TILE streams draws a chunk into the rows of a cache-sized
-    staging block, which one transposed copy moves into the tile's columns
-    of the uniforms: written down a column, each draw takes a cache line.
+    Yields (steps in the chunk, reps) arrays, row n holding each stream's
+    draw for the chunk's step n, and adds the time it takes, stream
+    construction included, to seconds["fill"].  Each tile of _TILE streams
+    draws a chunk into the rows of a cache-sized staging block
+    (_uniform_buffer).  A pass of one tile yields that block transposed,
+    and sample_paths makes its chunk one collector block, _BLOCK_CELLS //
+    reps steps up to 1024 (_evolve's ring has up to chunk rows): at 100
+    rows, 127 KiB in place of 1600 KiB of block and copy.  A wider pass moves
+    each tile's block by one transposed copy into its columns of a
+    (chunk, reps) view: written down a column, each draw takes a cache line.
     """
     tile = min(_TILE, reps)
-    u_buf, staging = _uniform_buffer(chunk, reps, tile)
+    wide = reps > tile
+    u_buf, staging = _uniform_buffer(chunk, reps if wide else 0, tile)
     clock = time.perf_counter()
     streams = [replication_stream(master_seed, first + i) for i in range(reps)]
     for m0 in range(0, steps, chunk):
@@ -361,9 +368,10 @@ def _uniforms(master_seed, first, reps, steps, chunk, seconds):
             draws = block[:min(tile, reps - j)]
             for st, row in zip(streams[j:j + tile], draws):
                 st.random(out=row)
-            u_buf[:c_eff, j:j + tile] = draws.T
+            if wide:
+                u_buf[:c_eff, j:j + tile] = draws.T
         _stages.lap(seconds, "fill", clock)
-        yield u_buf[:c_eff]
+        yield u_buf[:c_eff] if wide else block.T
         clock = time.perf_counter()
 
 

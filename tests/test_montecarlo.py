@@ -7,10 +7,14 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dihedral_erw
 from dihedral_erw import _philox, _stages, montecarlo
@@ -673,6 +677,104 @@ class TestStagePass:
         assert writing[-1]
         assert len(children) == 1 and children[0].returncode == -signal.SIGKILL
         assert not any(montecarlo._ENSEMBLES.values())
+
+
+def fill_chunk(reps) -> int:
+    """The chunk that sample_paths hands _uniforms for a pass of reps rows (a pass
+    imports _stages, through which _uniforms times itself)."""
+    chunks, real = [], montecarlo._uniforms
+
+    def spy(*args):
+        chunks.append(args[4])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(montecarlo, "_ENSEMBLES", {})
+        m.setattr(montecarlo, "_uniforms", spy)
+        sample_paths(0.3, 1, reps, SEED)
+    return chunks[0]
+
+
+class TestOneTileFill:
+    # a pass of at most _TILE rows draws into a staging block that its walk
+    # reads transposed, a collector block of steps at a time; 129 rows take
+    # the wider fill, through a (chunk, reps) copy
+    @pytest.mark.parametrize("reps", (1, 2, 100, 128, 129))
+    def test_each_column_is_its_stream(self, reps):
+        chunk = fill_chunk(reps)
+        if reps <= montecarlo._TILE:
+            assert chunk == min(1024, montecarlo._BLOCK_CELLS // reps)
+        for steps in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk):
+            got = [u.copy() for u in montecarlo._uniforms(SEED, 0, reps, steps, chunk,
+                                                            {"fill": 0.0})]
+            assert [len(u) for u in got[:-1]] == [chunk] * (len(got) - 1) and got[-1].size
+            u = np.concatenate(got)
+            assert u.shape == (steps, reps)
+            for i in range(reps):
+                assert u[:, i].tobytes() == replication_stream(SEED, i).random(steps).tobytes()
+
+    def test_narrow_fill_holds_one_block(self, monkeypatch):
+        # the fill of a 100-row pass holds its staging block, not a second
+        # (chunk, reps) buffer too (1600 KiB at 1024 steps a chunk)
+        chunk = fill_chunk(100)
+        monkeypatch.setattr(montecarlo, "_UNIFORMS", np.empty(0))
+        tracemalloc.start()
+        try:
+            for _ in montecarlo._uniforms(SEED, 0, 100, 2000, chunk, {"fill": 0.0}):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * montecarlo._BLOCK_CELLS * 8
+
+
+class TestPassPlans:
+    # each plan of a pass, (parts, stages), against the one-process pass, with
+    # the floors lowered so that small passes take it, and widths and lengths
+    # drawn across the edges of the staging tile, the part floor, the
+    # collector block, the fill chunk and the stage floor
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_every_plan_gives_the_one_process_pass(self, data):
+        floor = data.draw(st.sampled_from((48, 96, 160)), "part floor")
+        plan = data.draw(st.sampled_from(((1, 1), (2, 1), (3, 1), (1, 2))), "plan")
+        parts, stages = plan
+        if parts == 3:
+            cpus, lo, hi = 3, 3 * floor, 4 * floor
+        elif parts == 2:
+            cpus, lo, hi = data.draw(st.integers(2, 3), "usable CPUs"), 2 * floor, 3 * floor - 1
+        else:
+            cpus = data.draw(st.integers(2 if stages > 1 else 1, 3), "usable CPUs")
+            lo, hi = 1, (floor - 1 if stages > 1 else 2 * floor - 1)
+        tile = montecarlo._TILE
+        edges = [r for r in (1, tile - 1, tile, tile + 1, floor - 1, floor, 2 * floor - 1,
+                             2 * floor, 3 * floor - 1, 3 * floor, 4 * floor) if lo <= r <= hi]
+        reps = data.draw(st.one_of(st.sampled_from(edges), st.integers(lo, hi)), "reps")
+        block, chunk = montecarlo._BLOCK_CELLS // reps, fill_chunk(reps)
+        edges = [s for e in (block, chunk) for s in (e - 1, e, e + 1) if 1 <= s <= 2500]
+        steps = data.draw(st.one_of(st.sampled_from(edges), st.integers(1, 2500)), "steps")
+        # the stage floor at most steps makes a narrow pass on two CPUs two stages
+        if stages > 1:
+            around = (steps - 1, steps)
+        elif cpus > 1 and reps < floor:
+            around = (steps + 1,)
+        else:
+            around = (steps - 1, steps, steps + 1)
+        stage_floor = data.draw(st.sampled_from([s for s in around if s]), "stage floor")
+        usable = [c for c, low in (("qsl", 2), ("lil", LIL_START), ("doob", 1)) if steps >= low]
+        collect = data.draw(st.lists(st.sampled_from(usable), unique=True), "collect")
+        snaps = data.draw(st.lists(st.integers(1, steps), max_size=4), "snapshots")
+        q = data.draw(st.one_of(st.sampled_from((-1.0, 1.0)),
+                                st.floats(-1.0, 1.0, allow_nan=False)), "q")
+        kw = dict(collect=collect, snapshot_steps=snaps)
+        with mock.patch.multiple(montecarlo, _ENSEMBLES={}, _MIN_PART_ROWS=floor,
+                                 _MIN_PART_WORK=1, _MIN_STAGE_STEPS=stage_floor):
+            assert montecarlo._plan(reps, steps, cpus) == plan
+            with mock.patch.object(_stages, "usable_cpus", lambda: cpus):
+                planned = digest(sample_paths(q, steps, reps, SEED, **kw))
+            montecarlo._ENSEMBLES.clear()
+            with mock.patch.object(_stages, "usable_cpus", lambda: 1):
+                assert planned == digest(sample_paths(q, steps, reps, SEED, **kw))
 
 
 class TestKS:
